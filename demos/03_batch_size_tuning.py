@@ -7,7 +7,6 @@ instead of a hard-coded constant.
 """
 
 import treescore as ts
-from treescore.bench import tune_fixed
 
 DEPTH, N = 9, 200_000
 
@@ -18,12 +17,13 @@ for features in (32, 512):
     ensemble = ts.Ensemble(features, [(tree, 1.0)])
     data = ts.gen_leaf_uniform_vectors(tree, cfg)
 
-    result = tune_fixed(ensemble, data, batch_sizes=(1, 8, 16, 32, 64, 128),
-                        trials=3)
+    report = ts.run_fixed(ensemble, data,
+                          strategies=(ts.StrategyKind.VPREDICATED,),
+                          batch_sizes=(1, 8, 16, 32, 64, 128), trials=3)
     print(f"\nf={features}, d={DEPTH}, n={N}:")
     print(f"  {'v':>4} {'mean ns/inst':>14} {'ci95':>8}")
-    for row in result.report.rows:
+    for row in report.rows:
         print(f"  {row.batch:>4} {row.mean_ns:>14.1f} {row.ci95_ns:>8.1f}")
-    best = result.best[(DEPTH, features)]
+    best = ts.best_batch_sizes(report)[(DEPTH, features)]
     print(f"  best batch size: {best}  "
           "(v=1 is exactly the one-instance predicated path)")

@@ -72,14 +72,12 @@ from .bench import (
     CorrectnessGateError,
     CoverageReport,
     TimerResolutionError,
-    TuneResult,
+    best_batch_sizes,
     export_csv,
     measure_feature_coverage,
     parse_csv,
     run_fixed,
     run_sweep,
-    tune_fixed,
-    tune_v,
 )
 
 __version__ = "0.1.0"

@@ -1,15 +1,21 @@
 """Timing harness: strategy x depth x feature-size x batch-size sweeps.
 
-The protocol per trial and configuration: construct a fresh seeded random
-tree and a fresh leaf-uniform dataset, build every requested strategy,
-assert that all of them agree with the reference traversal on a
-1,000-instance prefix (the correctness gate; timings are never reported
-for a strategy that fails it), then run one optional untimed warmup pass
-and one timed full pass over all instances on the monotonic clock.  The
-timed region is a single whole-pass clock-read pair with preallocated
-output buffers; per-instance times are elapsed/n.  Means and 95%
-confidence intervals (Student's t over trial means) are computed across
-trials.
+One driver serves every mode.  It takes a stream of cells, each a
+(depth, features, ensemble, matrix) tuple, and for each cell builds every
+requested strategy (one ``vpredicated`` evaluator per batch size), asserts
+that all of them agree with the reference traversal on a 1,000-instance
+prefix (the correctness gate; timings are never reported for a strategy
+that fails it), then times a number of passes, strategy after strategy.
+Each pass is one optional untimed warmup pass and one timed full pass over
+all instances on the monotonic clock: a single whole-pass clock-read pair
+with preallocated output buffers; per-instance times are elapsed/n.
+Means and 95% confidence intervals (Student's t over trial means) are
+computed across a row's trials.
+
+:func:`run_sweep` feeds the driver a freshly seeded tree and leaf-uniform
+dataset per (trial, depth, features), one pass each; :func:`run_fixed`
+feeds it one fixed model and dataset with ``trials`` passes.
+:func:`best_batch_sizes` reads the batch-size winners off any report.
 
 Scores include the weighted ensemble accumulation, and the generated
 strategy is measured through the same indirect-call interface as every
@@ -26,7 +32,6 @@ and environment metadata in leading ``#`` comment lines.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import platform
 import sys
@@ -35,7 +40,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
-from scipy import stats
 
 from . import native
 from .codegen import CompilerNotFoundError, build_generated, find_compiler, OPT_FLAGS
@@ -129,6 +133,10 @@ class BenchRow:
         k = len(per)
         if k < 2:
             return 0.0
+        # scipy is imported here, not at module level: it is the package's
+        # only use of scipy and dominates the cost of ``import treescore``.
+        from scipy import stats
+
         sd = float(np.std(per, ddof=1))
         return float(stats.t.ppf(0.975, k - 1)) * sd / math.sqrt(k)
 
@@ -157,14 +165,6 @@ class CoverageReport:
     mean_fraction: float
     variance: float
     num_instances: int
-
-
-@dataclass(frozen=True)
-class TuneResult:
-    """Batch-size sweep outcome: the full curve plus the winner per cell."""
-
-    report: BenchReport
-    best: dict  # (depth, features) -> best batch size
 
 
 # ---------------------------------------------------------------------------
@@ -236,90 +236,81 @@ def _correctness_gate(ensemble: Ensemble, evaluators, matrix) -> None:
             )
 
 
-def _build_cell_evaluators(ensemble: Ensemble, cfg: BenchConfig, mark_row):
-    """Build (key, evaluator) pairs for one configuration cell.
-
-    ``mark_row(strategy, batch, note)`` is called instead of raising when
-    the generated strategy has no compiler; the sweep carries on.
-    """
-    evaluators = []
-    for kind in cfg.strategies:
-        if kind is StrategyKind.VPREDICATED:
-            for v in cfg.batch_sizes:
-                evaluators.append(((kind, v), build(ensemble, kind, v)))
-        elif kind is StrategyKind.GENERATED:
-            try:
-                evaluators.append(((kind, None), build_generated(ensemble)))
-            except CompilerNotFoundError as exc:
-                mark_row(kind, None, str(exc))
-        else:
-            evaluators.append(((kind, None), build(ensemble, kind)))
-    return evaluators
-
-
 def _cell_seed(seed: int, trial: int, depth: int, features: int) -> int:
     return int(np.random.SeedSequence(
         [seed, 3, trial, depth, features]).generate_state(1)[0])
 
 
 # ---------------------------------------------------------------------------
-# Sweeps
+# The driver
 # ---------------------------------------------------------------------------
+
+def _run(cells, cfg: BenchConfig, passes: int, progress=None) -> BenchReport:
+    """Build, gate and time ``cfg.strategies`` on each cell.
+
+    ``cells`` yields ``(depth, features, ensemble, matrix)`` and is consumed
+    one cell at a time.  Each cell gets every strategy (one ``vpredicated``
+    per batch size), one correctness gate, then ``passes`` timed passes,
+    strategy after strategy.  Rows are keyed (strategy, depth, features,
+    batch) and kept in first-seen order; a missing compiler marks the
+    ``generated`` row unavailable and the run carries on.  ``progress``,
+    when given, receives one line per timed pass.
+    """
+    rows: dict = {}
+    for depth, features, ensemble, matrix in cells:
+        n = matrix.shape[0]
+        built = []
+        for kind in cfg.strategies:
+            for batch in (cfg.batch_sizes
+                          if kind is StrategyKind.VPREDICATED else (None,)):
+                key = (str(kind), depth, features, batch)
+                row = rows.get(key)
+                if row is None:
+                    row = rows[key] = BenchRow(*key, n)
+                label = f"{kind}{f' v={batch}' if batch else ''}"
+                if kind is StrategyKind.GENERATED:
+                    try:
+                        evaluator = build_generated(ensemble)
+                    except CompilerNotFoundError as exc:
+                        row.available = False
+                        row.note = str(exc)
+                        continue
+                else:
+                    evaluator = build(ensemble, kind, batch)
+                built.append((label, row, evaluator))
+        _correctness_gate(ensemble, [(label, evaluator)
+                                     for label, _, evaluator in built], matrix)
+        out = np.empty(n, dtype=np.float64)
+        for _ in range(passes):
+            for label, row, evaluator in built:
+                elapsed = _timed_pass(evaluator, matrix, out, cfg.warmup)
+                row.trial_elapsed_ns.append(elapsed)
+                if progress is not None:
+                    progress(f"trial {len(row.trial_elapsed_ns) - 1} "
+                             f"d={depth} f={features} {label}: "
+                             f"{elapsed / n:.1f} ns/instance")
+    return BenchReport(list(rows.values()), collect_environment())
+
 
 def run_sweep(cfg: BenchConfig, progress=None) -> BenchReport:
     """Run the full synthetic sweep defined by ``cfg``.
 
     Each (trial, depth, features) cell gets a freshly seeded tree and
-    dataset.  ``progress``, when given, receives one line per timed cell.
+    dataset, generated only when the cell is timed.
     """
-    rows: dict = {}
+    def cells():
+        for trial in range(cfg.trials):
+            for depth in cfg.depths:
+                for features in cfg.feature_sizes:
+                    gen = GenConfig(depth=depth, num_features=features,
+                                    num_vectors=cfg.instances,
+                                    seed=_cell_seed(cfg.seed, trial, depth,
+                                                    features))
+                    tree = gen_tree(gen)
+                    yield (depth, features, Ensemble(features, [(tree, 1.0)]),
+                           gen_leaf_uniform_vectors(tree, gen).matrix)
 
-    def row_for(kind: StrategyKind, depth: int, features: int,
-                batch: int | None) -> BenchRow:
-        key = (str(kind), depth, features, batch)
-        if key not in rows:
-            rows[key] = BenchRow(str(kind), depth, features, batch,
-                                 cfg.instances)
-        return rows[key]
-
-    # Deterministic row order regardless of trial interleaving.
-    for depth in cfg.depths:
-        for features in cfg.feature_sizes:
-            for kind in cfg.strategies:
-                for batch in (cfg.batch_sizes
-                              if kind is StrategyKind.VPREDICATED else (None,)):
-                    row_for(kind, depth, features, batch)
-
-    for trial in range(cfg.trials):
-        for depth in cfg.depths:
-            for features in cfg.feature_sizes:
-                seed = _cell_seed(cfg.seed, trial, depth, features)
-                gen = GenConfig(depth=depth, num_features=features,
-                                num_vectors=cfg.instances, seed=seed)
-                tree = gen_tree(gen)
-                ensemble = Ensemble(features, [(tree, 1.0)])
-                data = gen_leaf_uniform_vectors(tree, gen)
-
-                def mark(kind, batch, note, depth=depth, features=features):
-                    row = row_for(kind, depth, features, batch)
-                    row.available = False
-                    row.note = note
-
-                evaluators = _build_cell_evaluators(ensemble, cfg, mark)
-                matrix = data.matrix
-                _correctness_gate(ensemble, evaluators, matrix)
-                out = np.empty(matrix.shape[0], dtype=np.float64)
-                for (kind, batch), evaluator in evaluators:
-                    elapsed = _timed_pass(evaluator, matrix, out, cfg.warmup)
-                    row_for(kind, depth, features, batch) \
-                        .trial_elapsed_ns.append(elapsed)
-                    if progress is not None:
-                        progress(
-                            f"trial {trial} d={depth} f={features} "
-                            f"{kind}{f' v={batch}' if batch else ''}: "
-                            f"{elapsed / cfg.instances:.1f} ns/instance"
-                        )
-    return BenchReport(list(rows.values()), collect_environment())
+    return _run(cells(), cfg, 1, progress)
 
 
 def run_fixed(ensemble: Ensemble, data: Dataset, strategies=ALL_STRATEGIES,
@@ -331,83 +322,29 @@ def run_fixed(ensemble: Ensemble, data: Dataset, strategies=ALL_STRATEGIES,
     count.  The same correctness gate and timing protocol as
     :func:`run_sweep` apply; trials repeat timing on identical inputs.
     """
-    if trials < 2:
-        raise ValueError("trials must be >= 2")
-    strategies = tuple(StrategyKind(s) for s in strategies)
-    stats_ = tree_stats(ensemble)
-    depth = stats_.max_depth
+    depth = tree_stats(ensemble).max_depth
     features = ensemble.num_features
     cfg = BenchConfig(strategies=strategies, depths=(depth,),
                       feature_sizes=(features,), batch_sizes=tuple(batch_sizes),
                       instances=max(1, data.count), trials=trials, warmup=warmup)
-
-    rows: dict = {}
-
-    def row_for(kind, batch):
-        key = (str(kind), depth, features, batch)
-        if key not in rows:
-            rows[key] = BenchRow(str(kind), depth, features, batch, data.count)
-        return rows[key]
-
-    for kind in strategies:
-        for batch in (cfg.batch_sizes
-                      if kind is StrategyKind.VPREDICATED else (None,)):
-            row_for(kind, batch)
-
-    def mark(kind, batch, note):
-        row = row_for(kind, batch)
-        row.available = False
-        row.note = note
-
-    evaluators = _build_cell_evaluators(ensemble, cfg, mark)
-    matrix = data.matrix
-    _correctness_gate(ensemble, evaluators, matrix)
-    out = np.empty(matrix.shape[0], dtype=np.float64)
-    for trial in range(trials):
-        for (kind, batch), evaluator in evaluators:
-            elapsed = _timed_pass(evaluator, matrix, out, warmup)
-            row_for(kind, batch).trial_elapsed_ns.append(elapsed)
-            if progress is not None:
-                progress(f"trial {trial} {kind}"
-                         f"{f' v={batch}' if batch else ''}: "
-                         f"{elapsed / data.count:.1f} ns/instance")
-    return BenchReport(list(rows.values()), collect_environment())
+    return _run([(depth, features, ensemble, data.matrix)], cfg, trials,
+                progress)
 
 
-def _pick_best(report: BenchReport, cells, batch_sizes) -> dict:
-    best = {}
-    for depth, features in cells:
-        candidates = []
-        for v in batch_sizes:
-            row = report.row(StrategyKind.VPREDICATED, depth, features, v)
-            if row.available and row.trial_elapsed_ns:
-                candidates.append((row.mean_ns, v))
-        if candidates:
-            # Ties break toward the smaller batch size.
-            best[(depth, features)] = min(candidates)[1]
-    return best
+def best_batch_sizes(report: BenchReport) -> dict:
+    """Fastest ``vpredicated`` batch size per (depth, features) cell.
 
-
-def tune_v(cfg: BenchConfig, progress=None) -> TuneResult:
-    """Sweep batch sizes for the vectorized strategy; emit curve and winners."""
-    if StrategyKind.VPREDICATED not in cfg.strategies:
-        raise ValueError("tune_v requires the vpredicated strategy")
-    sweep_cfg = dataclasses.replace(cfg, strategies=(StrategyKind.VPREDICATED,))
-    report = run_sweep(sweep_cfg, progress=progress)
-    cells = [(d, f) for d in cfg.depths for f in cfg.feature_sizes]
-    return TuneResult(report, _pick_best(report, cells, cfg.batch_sizes))
-
-
-def tune_fixed(ensemble: Ensemble, data: Dataset,
-               batch_sizes=(1, 8, 16, 32, 64), trials: int = 5,
-               warmup: bool = True, progress=None) -> TuneResult:
-    """Batch-size tuning for a fixed model and dataset."""
-    report = run_fixed(ensemble, data, strategies=(StrategyKind.VPREDICATED,),
-                       batch_sizes=batch_sizes, trials=trials, warmup=warmup,
-                       progress=progress)
-    stats_ = tree_stats(ensemble)
-    cells = [(stats_.max_depth, ensemble.num_features)]
-    return TuneResult(report, _pick_best(report, cells, batch_sizes))
+    Reads the timed ``vpredicated`` rows of any report; ties go to the
+    smaller batch size.  A report without such rows gives ``{}``.
+    """
+    best: dict = {}
+    for row in report.rows:
+        if (row.strategy == str(StrategyKind.VPREDICATED) and row.available
+                and row.trial_elapsed_ns):
+            cell = (row.depth, row.features)
+            best[cell] = min(best.get(cell, (math.inf, 0)),
+                             (row.mean_ns, row.batch))
+    return {cell: v for cell, (_, v) in best.items()}
 
 
 # ---------------------------------------------------------------------------

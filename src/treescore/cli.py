@@ -112,24 +112,13 @@ def _cmd_gen_model(args) -> int:
 
 def _cmd_gen_data(args) -> int:
     ensemble = load_model(args.model)
-    f = ensemble.num_features
-    if len(ensemble.trees) == 1:
-        tree = ensemble.trees[0][0]
-        cfg = GenConfig(depth=tree.depth, num_features=f,
-                        num_vectors=args.count, seed=args.seed)
-        dataset = gen_leaf_uniform_vectors(tree, cfg)
-        mode = "leaf-uniform"
-    else:
-        # Leaf-uniform targeting is defined per tree; for multi-tree models
-        # the vectors are plain uniform draws over the domain.
-        rng = np.random.default_rng([args.seed, 1])
-        dataset = Dataset(rng.random((args.count, f), dtype=np.float32))
-        mode = "uniform"
+    dataset = _synthesize_data(ensemble, args.count, args.seed)
+    mode = "leaf-uniform" if len(ensemble.trees) == 1 else "uniform"
     if args.csv:
         write_csv(args.out, dataset)
     else:
         write_fvec(args.out, dataset)
-    print(f"wrote {args.out}: {args.count} x {f} ({mode}, "
+    print(f"wrote {args.out}: {args.count} x {ensemble.num_features} ({mode}, "
           f"{'csv' if args.csv else 'fvec'})")
     return 0
 
@@ -191,6 +180,8 @@ def _synthesize_data(ensemble, count: int, seed: int = 0) -> Dataset:
         cfg = GenConfig(depth=tree.depth, num_features=f,
                         num_vectors=count, seed=seed)
         return gen_leaf_uniform_vectors(tree, cfg)
+    # Leaf-uniform targeting is defined per tree; for multi-tree models
+    # the vectors are plain uniform draws over the domain.
     rng = np.random.default_rng([seed, 1])
     return Dataset(rng.random((count, f), dtype=np.float32))
 
@@ -199,11 +190,12 @@ def _cmd_tune(args) -> int:
     ensemble = load_model(args.model)
     dataset = _load_dataset(args.data, ensemble.num_features)
     batches = _parse_int_list(args.batches, "--batches")
-    result = bench_mod.tune_fixed(ensemble, dataset, batch_sizes=batches,
-                                  progress=_progress)
-    for (depth, features), best in sorted(result.best.items()):
+    report = bench_mod.run_fixed(ensemble, dataset,
+                                 strategies=(StrategyKind.VPREDICATED,),
+                                 batch_sizes=batches, progress=_progress)
+    for (depth, features), best in sorted(bench_mod.best_batch_sizes(report).items()):
         _progress(f"best batch size for depth={depth} features={features}: {best}")
-    _emit(export_csv(result.report), args.out)
+    _emit(export_csv(report), args.out)
     return 0
 
 

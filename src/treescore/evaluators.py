@@ -3,9 +3,10 @@
 Six strategy kinds exist; five are built here and the sixth (``generated``,
 compiled from emitted C) lives in :mod:`treescore.codegen` but satisfies the
 same interface.  All strategies are built from the same
-:class:`~treescore.model.Ensemble`, share the tie rule (value equal to
-threshold goes right), narrow node data to float32, and accumulate scores
-in float64 in tree order, so their outputs are bit-identical.
+:class:`~treescore.model.Ensemble`, share the split rule (go left only
+when ``x < threshold``, so ties and NaN go right), narrow node data to
+float32, and accumulate scores in float64 in tree order, so their outputs
+are bit-identical.
 
 heap_linked
     The deliberately naive object graph: one plain Python object per node,
@@ -20,7 +21,7 @@ contiguous
     children sit at stored indices rather than computed offsets).
 predicated
     Complete-table traversal with the branch-free index update
-    ``i = (i << 1) + 1 + (x[fid[i]] >= theta[i])`` applied ``d`` times,
+    ``i = (i << 1) + 2 - (x[fid[i]] < theta[i])`` applied ``d`` times,
     one instance at a time.  Requires dummy-node expansion, so depth is
     capped at :data:`~treescore.model.MAX_DEPTH`.
 vpredicated
@@ -87,7 +88,7 @@ ALL_STRATEGIES = tuple(StrategyKind)
 
 def _make_scalar_kernel(depth: int):
     lines = ["def _kernel(fids, thetas, x):", "    i = 0"]
-    lines += ["    i = (i << 1) + 1 + (float(x[fids[i]]) >= thetas[i])"] * depth
+    lines += ["    i = (i << 1) + 2 - (float(x[fids[i]]) < thetas[i])"] * depth
     lines.append(f"    return i - {(1 << depth) - 1}")
     namespace: dict = {}
     exec(compile("\n".join(lines), f"<predicated depth={depth}>", "exec"), namespace)
@@ -99,7 +100,7 @@ def _make_batch_kernel(depth: int):
         "def _kernel(fids, thetas, V, rows):",
         "    i = np.zeros(rows.shape[0], dtype=np.intp)",
     ]
-    lines += ["    i = (i << 1) + 1 + (V[rows, fids[i]] >= thetas[i])"] * depth
+    lines += ["    i = (i << 1) + 2 - (V[rows, fids[i]] < thetas[i])"] * depth
     lines.append(f"    return i - {(1 << depth) - 1}")
     namespace: dict = {"np": np}
     exec(compile("\n".join(lines), f"<vpredicated depth={depth}>", "exec"), namespace)
@@ -137,7 +138,7 @@ def leaf_index_predicated(ct: CompleteTree, x) -> int:
     thetas = ct.thetas
     i = 0
     for _ in range(ct.depth):
-        i = (i << 1) + 1 + (float(x[fids[i]]) >= float(thetas[i]))
+        i = (i << 1) + 2 - (float(x[fids[i]]) < float(thetas[i]))
     return i - ((1 << ct.depth) - 1)
 
 
@@ -148,7 +149,7 @@ def predicated_index_path(ct: CompleteTree, x) -> list:
     i = 0
     path = [0]
     for _ in range(ct.depth):
-        i = (i << 1) + 1 + (float(x[fids[i]]) >= float(thetas[i]))
+        i = (i << 1) + 2 - (float(x[fids[i]]) < float(thetas[i]))
         path.append(i)
     return path
 
@@ -165,7 +166,7 @@ def vpredicated_index_paths(ct: CompleteTree, matrix) -> np.ndarray:
     i = np.zeros(v, dtype=np.intp)
     out = [i.copy()]
     for _ in range(ct.depth):
-        i = (i << 1) + 1 + (V[rows, ct.fids[i]] >= ct.thetas[i])
+        i = (i << 1) + 2 - (V[rows, ct.fids[i]] < ct.thetas[i])
         out.append(i.copy())
     return np.stack(out)
 
@@ -518,78 +519,43 @@ class PredicatedEvaluator(Evaluator):
 
 # -- vpredicated -------------------------------------------------------------------
 
-class VPredicatedEvaluator(Evaluator):
+class VPredicatedEvaluator(PredicatedEvaluator):
     """Lockstep predication over batches of ``batch_size`` instances.
 
     Full batches advance all ``v`` cursors one tree level per step; the
-    remainder rows (and ``v=1``) use the scalar predicated path, which
-    produces identical results.  Interleaving is per tree, so ensembles of
-    mixed depths are handled tree-locally.
+    remainder rows (and ``v=1``) use the inherited scalar predicated path,
+    which produces identical results.  Interleaving is per tree, so
+    ensembles of mixed depths are handled tree-locally.
     """
 
     kind = StrategyKind.VPREDICATED
 
     def __init__(self, ensemble: Ensemble, batch_size: int):
-        super().__init__(ensemble)
         batch_size = int(batch_size)
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        super().__init__(ensemble)
         self.batch_size = batch_size
-        vector = []
-        scalar = []
-        tables = []
-        for tree, weight in ensemble.trees:
-            ct = expand_to_complete(tree)
-            leaf64 = ct.leaf_values.astype(np.float64)
-            vector.append((batch_kernel(ct.depth) if ct.depth else None,
-                           ct.fids, ct.thetas, leaf64, weight))
-            scalar.append((scalar_kernel(ct.depth),
-                           [int(v) for v in ct.fids],
-                           [float(v) for v in ct.thetas],
-                           [float(v) for v in ct.leaf_values],
-                           weight))
-            tables.append(ct)
-        self._vector_trees = tuple(vector)
-        self._scalar_trees = tuple(scalar)
-        self.tables = tuple(tables)
-
-    def _predict_row(self, x) -> float:
-        acc = 0.0
-        for kernel, fids, thetas, leaves, weight in self._scalar_trees:
-            acc += weight * leaves[kernel(fids, thetas, x)]
-        return acc
+        self._rows = np.arange(batch_size)
+        self._vector_trees = tuple(
+            (batch_kernel(ct.depth) if ct.depth else None, ct.fids, ct.thetas,
+             ct.leaf_values.astype(np.float64), weight)
+            for ct, (_, weight) in zip(self.tables, ensemble.trees))
 
     def _predict_into(self, matrix, out) -> None:
-        n = matrix.shape[0]
         v = self.batch_size
-        start = 0
-        if v > 1:
-            rows = np.arange(v)
-            full = (n // v) * v
-            while start < full:
-                V = matrix[start:start + v]
-                acc = np.zeros(v, dtype=np.float64)
-                for kernel, fids, thetas, leaf64, weight in self._vector_trees:
-                    if kernel is None:
-                        acc += weight * leaf64[0]
-                    else:
-                        acc += weight * leaf64[kernel(fids, thetas, V, rows)]
-                out[start:start + v] = acc
-                start += v
-        if start == n:
-            return
-        if len(self._scalar_trees) == 1:
-            kernel, fids, thetas, leaves, weight = self._scalar_trees[0]
-            for i in range(start, n):
-                out[i] = weight * leaves[kernel(fids, thetas, matrix[i])]
-        else:
-            predict_row = self._predict_row
-            for i in range(start, n):
-                out[i] = predict_row(matrix[i])
-
-    @property
-    def stored_node_count(self) -> int:
-        return sum(ct.table_entries for ct in self.tables)
+        full = (matrix.shape[0] // v) * v if v > 1 else 0
+        rows = self._rows
+        for start in range(0, full, v):
+            V = matrix[start:start + v]
+            acc = np.zeros(v, dtype=np.float64)
+            for kernel, fids, thetas, leaf64, weight in self._vector_trees:
+                if kernel is None:
+                    acc += weight * leaf64[0]
+                else:
+                    acc += weight * leaf64[kernel(fids, thetas, V, rows)]
+            out[start:start + v] = acc
+        super()._predict_into(matrix[full:], out[full:])
 
 
 # ---------------------------------------------------------------------------

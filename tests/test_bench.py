@@ -1,8 +1,14 @@
 """Harness protocol, CSV round trips, coverage, and tuning."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import treescore
 from treescore import (
     BenchConfig,
     BenchReport,
@@ -14,14 +20,13 @@ from treescore import (
     StrategyKind,
     TimerResolutionError,
     Tree,
+    best_batch_sizes,
     build,
     export_csv,
     measure_feature_coverage,
     parse_csv,
     run_fixed,
     run_sweep,
-    tune_fixed,
-    tune_v,
 )
 from treescore import bench as bench_mod, native
 from treescore.bench import CSV_HEADER, _correctness_gate, _timed_pass
@@ -202,22 +207,43 @@ class TestTune:
     def test_single_batch_size_wins_trivially(self):
         cfg = small_cfg(strategies=(StrategyKind.VPREDICATED,),
                         batch_sizes=(1,))
-        result = tune_v(cfg)
-        assert result.best == {(3, 32): 1}
+        assert best_batch_sizes(run_sweep(cfg)) == {(3, 32): 1}
 
-    def test_tune_requires_vpredicated(self):
-        with pytest.raises(ValueError, match="vpredicated"):
-            tune_v(small_cfg(strategies=(StrategyKind.CONTIGUOUS,)))
+    def test_report_without_vpredicated_rows_is_empty(self):
+        assert best_batch_sizes(run_sweep(small_cfg())) == {}
+        assert best_batch_sizes(BenchReport([], {})) == {}
 
-    def test_tune_fixed_emits_curve(self):
+    def test_fastest_mean_wins_and_ties_go_to_smaller_v(self):
+        rows = [BenchRow("vpredicated", 3, 32, 16, 100, [500, 700]),
+                BenchRow("vpredicated", 3, 32, 8, 100, [600, 600]),
+                BenchRow("vpredicated", 3, 32, 32, 100, [400, 900]),
+                BenchRow("vpredicated", 3, 32, 4, 100, [100], available=False),
+                BenchRow("contiguous", 3, 32, None, 100, [10, 10]),
+                BenchRow("vpredicated", 5, 32, 64, 100, [300, 300]),
+                BenchRow("vpredicated", 5, 32, 1, 100, [500, 100])]
+        assert best_batch_sizes(BenchReport(rows, {})) == {(3, 32): 8,
+                                                         (5, 32): 1}
+
+    def test_fixed_run_emits_curve(self):
         tree = gen_tree(GenConfig(depth=3, num_features=8, seed=9))
         ens = Ensemble(8, [tree])
         data = gen_leaf_uniform_vectors(
             tree, GenConfig(depth=3, num_features=8, num_vectors=1024, seed=9))
-        result = tune_fixed(ens, data, batch_sizes=(1, 8), trials=2)
-        assert set(result.best) == {(3, 8)}
-        assert result.best[(3, 8)] in (1, 8)
-        assert len(result.report.rows) == 2
+        report = run_fixed(ens, data, strategies=(StrategyKind.VPREDICATED,),
+                           batch_sizes=(1, 8), trials=2)
+        best = best_batch_sizes(report)
+        assert set(best) == {(3, 8)}
+        assert best[(3, 8)] in (1, 8)
+        assert len(report.rows) == 2
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy serves only BenchRow.ci95_ns and dominates the import time.
+    code = "import sys, treescore; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(treescore.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True, env=env)
+    assert result.stdout.strip() == "False"
 
 
 class TestCsv:

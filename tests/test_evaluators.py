@@ -25,6 +25,7 @@ from treescore.evaluators import batch_kernel, scalar_kernel
 from treescore.synth import GenConfig, gen_leaf_uniform_vectors, gen_tree
 
 from conftest import (
+    HAS_COMPILER,
     random_ensemble,
     random_matrix,
     random_unbalanced_tree,
@@ -160,8 +161,16 @@ class TestPredictBatch:
         rng = np.random.default_rng(11)
         ens = random_ensemble(rng, 32, 5, 6)
         X = random_matrix(rng, 2000, 32)
+        # Non-finite features in a block long enough for full lockstep
+        # batches: NaN and +inf go right everywhere, -inf goes left.
+        block = X[:64]
+        mask = rng.random(block.shape) < 0.3
+        block[mask] = rng.choice([np.nan, np.inf, -np.inf], size=int(mask.sum()))
         expected = reference_batch(ens, X)
-        for ev in all_evaluators(ens, batch_sizes=(1, 8, 16, 32, 64)):
+        evs = all_evaluators(ens, batch_sizes=(1, 8, 16, 32, 64))
+        if HAS_COMPILER:
+            evs.append(codegen.build_generated(ens))
+        for ev in evs:
             assert np.array_equal(ev.predict_batch(X), expected), ev.kind
 
     def test_permutation_independence(self):
