@@ -195,8 +195,8 @@ def collect_environment() -> dict:
         "numpy": np.__version__,
         "compiler": compiler or "unavailable",
         "compiler_flags": " ".join(OPT_FLAGS),
-        # compact_linked and contiguous: native kernels, or the Python loops
-        # when no kernel library could be built.
+        # compact_linked, contiguous, predicated and vpredicated: native
+        # kernels, or the Python paths when no kernel library could be built.
         "layout_kernels": ("native" if native.load_layout_kernels() is not None
                            else "python"),
         "timer_resolution_ns": str(_TIMER_RESOLUTION_NS),

@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "freshly generated vectors).  With --sweep, regenerates "
                     "a tree and dataset per trial over the default "
                     "depth {3,5,7,9,11} x features {32,128,512} grid.  "
-                    "Batch remainders use the scalar path (no padding).")
+                    "Batch remainders are a shorter batch (no padding).")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--model", help="model path")
     mode.add_argument("--sweep", action="store_true",

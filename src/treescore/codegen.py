@@ -23,18 +23,19 @@ flexibility cost this strategy exists to demonstrate.
 
 from __future__ import annotations
 
-import atexit
 import ctypes
 import os
 import shutil
 import subprocess
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
 
 from .model import Ensemble, Node
 from .evaluators import Evaluator, StrategyKind
+from .native import address
 
 COMPILER_ENV_VAR = "TREESCORE_CC"
 OPT_FLAGS = ("-O3", "-fomit-frame-pointer", "-pipe")
@@ -75,16 +76,21 @@ def _c_double(value: float) -> str:
     return float.hex(float(value))
 
 
-def _emit_tree(node: Node, lines: list, indent: int) -> None:
-    pad = "    " * indent
-    if node.is_leaf:
-        lines.append(f"{pad}return {_c_float(node.value)};")
-        return
-    lines.append(f"{pad}if (x[{node.fid}] < {_c_float(node.threshold)}) {{")
-    _emit_tree(node.left, lines, indent + 1)
-    lines.append(f"{pad}}} else {{")
-    _emit_tree(node.right, lines, indent + 1)
-    lines.append(f"{pad}}}")
+def _emit_tree(root: Node, lines: list) -> None:
+    # Iterative, so trees deeper than the recursion limit emit too; the
+    # lines are those of the nested if-else a recursive walk would write.
+    pending = [(root, 1)]
+    while pending:
+        item, indent = pending.pop()
+        pad = "    " * indent
+        if isinstance(item, str):
+            lines.append(pad + item)
+        elif item.is_leaf:
+            lines.append(f"{pad}return {_c_float(item.value)};")
+        else:
+            lines.append(f"{pad}if (x[{item.fid}] < {_c_float(item.threshold)}) {{")
+            pending += [("}", indent), (item.right, indent + 1),
+                        ("} else {", indent), (item.left, indent + 1)]
 
 
 def emit_source(ensemble: Ensemble) -> str:
@@ -103,7 +109,7 @@ def emit_source(ensemble: Ensemble) -> str:
     ]
     for k, (tree, _) in enumerate(ensemble.trees):
         lines.append(f"static float tree_{k}(const float *x) {{")
-        _emit_tree(tree.root, lines, 1)
+        _emit_tree(tree.root, lines)
         lines.append("}")
         lines.append("")
     lines.append(f"double {ENTRY_SYMBOL}(const float *x) {{")
@@ -123,19 +129,13 @@ def emit_source(ensemble: Ensemble) -> str:
     return "\n".join(lines) + "\n"
 
 
-_LIVE_UNITS: list = []
-
-
-def _cleanup_units():
-    for unit in _LIVE_UNITS:
-        unit._remove_artifacts()
-
-
-atexit.register(_cleanup_units)
-
-
 class GeneratedUnit:
-    """A compiled and loaded scorer: source text, artifacts, entry points."""
+    """A compiled and loaded scorer: source text, artifacts, entry points.
+
+    A workdir the unit created (``owns_workdir``) is removed when the unit
+    is collected, or at exit, unless ``keep_sources`` is set.  The loaded
+    library stays mapped for the life of the process.
+    """
 
     def __init__(self, source_text: str, workdir: Path, lib_path: Path,
                  compiler: str, flags: tuple, keep_sources: bool,
@@ -146,7 +146,6 @@ class GeneratedUnit:
         self.compiler = compiler
         self.flags = flags
         self.keep_sources = keep_sources
-        self._owns_workdir = owns_workdir
         try:
             self._lib = ctypes.CDLL(str(lib_path))
         except OSError as exc:
@@ -158,33 +157,22 @@ class GeneratedUnit:
             raise SymbolResolutionError(
                 f"missing symbol in {lib_path}: {exc}") from exc
         self._entry.restype = ctypes.c_double
-        self._entry.argtypes = [ctypes.POINTER(ctypes.c_float)]
+        self._entry.argtypes = [ctypes.c_void_p]
         self._batch.restype = None
-        self._batch.argtypes = [
-            ctypes.POINTER(ctypes.c_float),
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.POINTER(ctypes.c_double),
-        ]
-        _LIVE_UNITS.append(self)
+        self._batch.argtypes = [ctypes.c_void_p, ctypes.c_int64,
+                                ctypes.c_int64, ctypes.c_void_p]
+        if owns_workdir and not keep_sources:
+            weakref.finalize(self, shutil.rmtree, workdir, ignore_errors=True)
 
     def score(self, x: np.ndarray) -> float:
-        return self._entry(x.ctypes.data_as(ctypes.POINTER(ctypes.c_float)))
+        """Score one C-contiguous float32 feature vector."""
+        return self._entry(address(x))
 
     def score_batch_into(self, matrix: np.ndarray, out: np.ndarray) -> None:
+        """Score the rows of a C-contiguous float32 matrix into float64 ``out``."""
         n, f = matrix.shape
-        self._batch(
-            matrix.ctypes.data_as(ctypes.POINTER(ctypes.c_float)),
-            n, f,
-            out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-        )
-
-    def _remove_artifacts(self):
-        # The dlopen handle stays valid for the process lifetime; only the
-        # on-disk artifacts are removed, and only for workdirs we created.
-        if self.keep_sources or not self._owns_workdir:
-            return
-        shutil.rmtree(self.workdir, ignore_errors=True)
+        if n:
+            self._batch(address(matrix), n, f, address(out))
 
 
 def _require_compiler(compiler: str | None) -> str:

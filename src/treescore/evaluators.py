@@ -26,20 +26,21 @@ predicated
     capped at :data:`~treescore.model.MAX_DEPTH`.
 vpredicated
     The same index update applied to ``v`` instances in lockstep, one tree
-    level per step, with the per-level work vectorized across the batch.
-    ``v=1`` reduces to the predicated path.  Batch remainders (the last
-    ``n mod v`` rows) go through the scalar path rather than padding.
+    level per step.  ``v=1`` reduces to the predicated path.  Batch
+    remainders (the last ``n mod v`` rows) are a shorter block, never
+    padded with fabricated instances.
 
-compact_linked and contiguous score whole ensembles in the native kernels
-of :mod:`treescore.native` (``malloc``'d C records and C arrays) when a C
-compiler is available, so that their comparison measures the layout
-rather than the interpreter.  Without a compiler they fall back to Python
-loops over ``__slots__`` records and lists, with identical scores.
-
-Per-depth dispatch: the predicated kinds select a fully unrolled kernel
-for the tree's depth at build time (one generated function per depth up to
-``MAX_DEPTH``); a generic loop kernel exists alongside and the test suite
-asserts the two agree.
+The four table strategies (compact_linked, contiguous, predicated and
+vpredicated) score whole ensembles in the native kernels of
+:mod:`treescore.native` when a C compiler is available, so that their
+comparisons measure layout, branches and lockstep rather than the
+interpreter; predicated is the lockstep kernel with one lane.  Without a
+compiler they fall back to Python, with identical scores: loops over
+``__slots__`` records and lists, and for the predicated pair per-depth
+unrolled kernels over list mirrors of the tables, vectorized across each
+full batch with numpy for vpredicated (remainder rows take the scalar
+kernel).  A generic loop kernel exists alongside the unrolled ones and the
+test suite asserts the two agree.
 """
 
 from __future__ import annotations
@@ -307,7 +308,7 @@ class HeapLinkedEvaluator(Evaluator):
         return sum(root.count() for root, _ in self._trees)
 
 
-# -- compact_linked and contiguous ------------------------------------------------
+# -- the table strategies ------------------------------------------------------
 
 def _pack_nodes(ensemble: Ensemble, breadth_first: bool):
     """Flatten every tree into shared parallel node tables, tree after tree.
@@ -350,23 +351,22 @@ def _pack_nodes(ensemble: Ensemble, breadth_first: bool):
 
 
 class _LayoutEvaluator(Evaluator):
-    """Build and dispatch shared by the two layouts with native kernels.
+    """Build and dispatch shared by the four table strategies.
 
-    Subclasses name their table order (``_breadth_first``), their native
-    kernel factory from :mod:`treescore.native` (``_native_kernel``), and
-    the Python fallback:
-    ``_build_python(tables, weights)`` and ``_python_row(x)``.  With a
-    kernel library loaded, ``_kernel`` scores whole batches natively;
-    otherwise it is ``None`` and rows go through ``_python_row``.
+    Subclasses pack their tables (``_pack(ensemble)`` returns the tables
+    and the stored node count), build a native kernel over them with
+    ``_native_kernel(lib, num_features, tables, weights)``, and provide
+    the Python fallback: ``_build_python(tables, weights)`` and
+    ``_python_row(x)``, plus ``_python_into(matrix, out)`` where a batch
+    loop beats row after row.  With a kernel library loaded, ``_kernel``
+    scores rows and batches natively; otherwise it is ``None`` and the
+    Python path runs.
     """
-
-    _breadth_first: bool
 
     def __init__(self, ensemble: Ensemble):
         super().__init__(ensemble)
-        tables = _pack_nodes(ensemble, self._breadth_first)
+        tables, self._node_count = self._pack(ensemble)
         weights = [w for _, w in ensemble.trees]
-        self._node_count = len(tables[0])
         lib = native.load_layout_kernels()
         if lib is None:
             self._kernel = None
@@ -383,19 +383,30 @@ class _LayoutEvaluator(Evaluator):
     def _predict_row(self, x) -> float:
         if self._kernel is None:
             return self._python_row(x)
-        out = np.empty(1, dtype=np.float64)
-        self._kernel.score_into(x.reshape(1, -1), out)
-        return float(out[0])
+        return self._kernel.score_row(x)
 
     def _predict_into(self, matrix, out) -> None:
         if self._kernel is None:
-            super()._predict_into(matrix, out)
+            self._python_into(matrix, out)
         else:
             self._kernel.score_into(matrix, out)
+
+    def _python_into(self, matrix, out) -> None:
+        super()._predict_into(matrix, out)
 
     @property
     def stored_node_count(self) -> int:
         return self._node_count
+
+
+class _LinkedLayoutEvaluator(_LayoutEvaluator):
+    """``compact_linked`` and ``contiguous``: one slot per logical node."""
+
+    _breadth_first: bool
+
+    def _pack(self, ensemble: Ensemble):
+        tables = _pack_nodes(ensemble, self._breadth_first)
+        return tables, len(tables[0])
 
 
 class _CompactNode:
@@ -409,7 +420,7 @@ class _CompactNode:
         self.right = right
 
 
-class CompactLinkedEvaluator(_LayoutEvaluator):
+class CompactLinkedEvaluator(_LinkedLayoutEvaluator):
     """One record per node, individually allocated and pointer-chased.
 
     Natively the records are ``malloc``'d in depth-first post-order; in
@@ -442,7 +453,7 @@ class CompactLinkedEvaluator(_LayoutEvaluator):
         return acc
 
 
-class ContiguousEvaluator(_LayoutEvaluator):
+class ContiguousEvaluator(_LinkedLayoutEvaluator):
     """Breadth-first packed node tables with explicit child indices.
 
     Unbalanced trees stay tightly packed: the tables hold exactly one slot
@@ -477,44 +488,36 @@ class ContiguousEvaluator(_LayoutEvaluator):
 
 # -- predicated ------------------------------------------------------------------
 
-class PredicatedEvaluator(Evaluator):
-    """Branch-free complete-table traversal, one instance at a time."""
+class PredicatedEvaluator(_LayoutEvaluator):
+    """Branch-free complete-table traversal, one instance at a time.
+
+    Natively this is the lockstep kernel with one lane.
+    """
 
     kind = StrategyKind.PREDICATED
 
-    def __init__(self, ensemble: Ensemble):
-        super().__init__(ensemble)
-        prepared = []
-        tables = []
-        for tree, weight in ensemble.trees:
-            ct = expand_to_complete(tree)
-            # Python-list mirrors keep the scalar inner loop free of numpy
-            # scalar boxing; values are identical to the packed tables.
-            fids = [int(v) for v in ct.fids]
-            thetas = [float(v) for v in ct.thetas]
-            leaves = [float(v) for v in ct.leaf_values]
-            prepared.append((scalar_kernel(ct.depth), fids, thetas, leaves, weight))
-            tables.append(ct)
-        self._trees = tuple(prepared)
-        self.tables = tuple(tables)
+    def _pack(self, ensemble: Ensemble):
+        tables = tuple(expand_to_complete(tree) for tree, _ in ensemble.trees)
+        return tables, sum(ct.table_entries for ct in tables)
 
-    def _predict_row(self, x) -> float:
+    def _native_kernel(self, lib, num_features, tables, weights):
+        return native.predicated_kernel(lib, num_features, tables, weights,
+                                        self.batch_size or 1)
+
+    def _build_python(self, tables, weights) -> None:
+        # Python-list mirrors keep the scalar inner loop free of numpy
+        # scalar boxing; values are identical to the packed tables.
+        self._trees = tuple(
+            (scalar_kernel(ct.depth), [int(v) for v in ct.fids],
+             [float(v) for v in ct.thetas],
+             [float(v) for v in ct.leaf_values], weight)
+            for ct, weight in zip(tables, weights))
+
+    def _python_row(self, x) -> float:
         acc = 0.0
         for kernel, fids, thetas, leaves, weight in self._trees:
             acc += weight * leaves[kernel(fids, thetas, x)]
         return acc
-
-    def _predict_into(self, matrix, out) -> None:
-        if len(self._trees) != 1:
-            super()._predict_into(matrix, out)
-            return
-        kernel, fids, thetas, leaves, weight = self._trees[0]
-        for i in range(matrix.shape[0]):
-            out[i] = weight * leaves[kernel(fids, thetas, matrix[i])]
-
-    @property
-    def stored_node_count(self) -> int:
-        return sum(ct.table_entries for ct in self.tables)
 
 
 # -- vpredicated -------------------------------------------------------------------
@@ -522,10 +525,12 @@ class PredicatedEvaluator(Evaluator):
 class VPredicatedEvaluator(PredicatedEvaluator):
     """Lockstep predication over batches of ``batch_size`` instances.
 
-    Full batches advance all ``v`` cursors one tree level per step; the
-    remainder rows (and ``v=1``) use the inherited scalar predicated path,
-    which produces identical results.  Interleaving is per tree, so
-    ensembles of mixed depths are handled tree-locally.
+    All ``v`` cursors of a batch advance one tree level per step.
+    Natively a short last batch simply has fewer lanes.  In Python the
+    full batches advance in numpy and the remainder rows (and ``v=1``)
+    take the inherited scalar path, which produces identical results.
+    Interleaving is per tree, so ensembles of mixed depths are handled
+    tree-locally.
     """
 
     kind = StrategyKind.VPREDICATED
@@ -534,15 +539,18 @@ class VPredicatedEvaluator(PredicatedEvaluator):
         batch_size = int(batch_size)
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        self.batch_size = batch_size  # before the base builds the kernel
         super().__init__(ensemble)
-        self.batch_size = batch_size
-        self._rows = np.arange(batch_size)
+
+    def _build_python(self, tables, weights) -> None:
+        super()._build_python(tables, weights)
+        self._rows = np.arange(self.batch_size)
         self._vector_trees = tuple(
             (batch_kernel(ct.depth) if ct.depth else None, ct.fids, ct.thetas,
              ct.leaf_values.astype(np.float64), weight)
-            for ct, (_, weight) in zip(self.tables, ensemble.trees))
+            for ct, weight in zip(tables, weights))
 
-    def _predict_into(self, matrix, out) -> None:
+    def _python_into(self, matrix, out) -> None:
         v = self.batch_size
         full = (matrix.shape[0] // v) * v if v > 1 else 0
         rows = self._rows
@@ -555,7 +563,7 @@ class VPredicatedEvaluator(PredicatedEvaluator):
                 else:
                     acc += weight * leaf64[kernel(fids, thetas, V, rows)]
             out[start:start + v] = acc
-        super()._predict_into(matrix[full:], out[full:])
+        super()._python_into(matrix[full:], out[full:])
 
 
 # ---------------------------------------------------------------------------

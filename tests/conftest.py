@@ -25,6 +25,14 @@ def random_unbalanced_tree(rng, max_depth: int, num_features: int,
     return Tree(build(0))
 
 
+def chain_tree(depth: int) -> Tree:
+    """``depth`` levels, each a split on feature 0 with a leaf on the right."""
+    node = Node.leaf(1.0)
+    for level in range(depth):
+        node = Node.internal(0, 0.5 / (level + 2), node, Node.leaf(2.0))
+    return Tree(node)
+
+
 def random_ensemble(rng, num_features: int, num_trees: int, max_depth: int,
                     unbalanced: bool = True) -> Ensemble:
     """Mixed ensemble: balanced generator trees and pruned ones, random weights."""

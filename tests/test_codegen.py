@@ -1,5 +1,8 @@
 """C emission, compilation, loading, and differential equivalence."""
 
+import gc
+import shutil
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,7 @@ from treescore.codegen import (
     find_compiler,
 )
 
-from conftest import random_ensemble, random_matrix, requires_compiler
+from conftest import chain_tree, random_ensemble, random_matrix, requires_compiler
 
 
 class TestEmission:
@@ -40,6 +43,23 @@ class TestEmission:
         assert tree_fn.count("if") == 1
         assert tree_fn.count("return") == 2
         assert "x[1] <" in tree_fn
+
+    def test_nested_if_else_text(self):
+        tree = Tree(Node.internal(2, 0.5, Node.leaf(-1.0), Node.internal(
+            0, 0.25, Node.leaf(0.75), Node.leaf(2.0))))
+        source = emit_source(Ensemble(3, [(tree, 0.5)]))
+        assert source.split("\n\n")[1] == """\
+static float tree_0(const float *x) {
+    if (x[2] < 0x1.0000000000000p-1f) {
+        return -0x1.0000000000000p+0f;
+    } else {
+        if (x[0] < 0x1.0000000000000p-2f) {
+            return 0x1.8000000000000p-1f;
+        } else {
+            return 0x1.0000000000000p+1f;
+        }
+    }
+}"""
 
     def test_emission_is_deterministic(self):
         rng = np.random.default_rng(1)
@@ -88,6 +108,28 @@ class TestCompileAndLoad:
         # Loading b must not have rebound a's symbols.
         assert unit_a.score(x) == 1.0
 
+    def test_owned_workdir_removed_with_unit(self):
+        ens = Ensemble(2, [(Tree(Node.leaf(1.0)), 1.0)])
+        unit = compile_and_load(emit_source(ens))
+        workdir = unit.workdir
+        assert (workdir / "scorer.so").exists()
+        del unit
+        gc.collect()
+        assert not workdir.exists()
+
+    def test_kept_and_given_workdirs_outlive_the_unit(self, tmp_path):
+        ens = Ensemble(2, [(Tree(Node.leaf(1.0)), 1.0)])
+        kept = compile_and_load(emit_source(ens), keep_sources=True)
+        kept_dir = kept.workdir
+        given = compile_and_load(emit_source(ens), tmp_path)
+        del kept, given
+        gc.collect()
+        try:
+            assert (kept_dir / "scorer.c").exists()
+            assert (tmp_path / "scorer.c").exists()
+        finally:
+            shutil.rmtree(kept_dir)
+
 
 @requires_compiler
 class TestGeneratedEvaluator:
@@ -108,6 +150,25 @@ class TestGeneratedEvaluator:
         vpred = build(ens, StrategyKind.VPREDICATED, 16)
         assert np.array_equal(generated.predict_batch(X),
                               vpred.predict_batch(X))
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        ens = Ensemble(2, [(chain_tree(1500), 0.5)])
+        X = np.array([[0.0, 0.0], [1e-4, 0.0], [0.9, 0.0], [np.nan, 0.0],
+                      [np.inf, 0.0], [-np.inf, 0.0]], dtype=np.float32)
+        generated = build_generated(ens)
+        assert np.array_equal(generated.predict_batch(X),
+                              reference_batch(ens, X))
+        assert [generated.predict(x) for x in X] == list(reference_batch(ens, X))
+
+    def test_read_only_inputs(self):
+        rng = np.random.default_rng(5)
+        ens = random_ensemble(rng, 8, 3, 5)
+        X = random_matrix(rng, 16, 8)
+        X.flags.writeable = False
+        generated = build_generated(ens)
+        expected = reference_batch(ens, X)
+        assert np.array_equal(generated.predict_batch(X), expected)
+        assert [generated.predict(x) for x in X] == list(expected)
 
     def test_scalar_and_batch_entry_points_agree(self):
         rng = np.random.default_rng(4)

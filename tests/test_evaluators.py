@@ -1,11 +1,14 @@
 """Strategy builds, prediction equivalence, kernels, and tracing."""
 
 import gc
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from treescore import (
+    MAX_DEPTH,
     DepthLimitError,
     Ensemble,
     Node,
@@ -26,6 +29,7 @@ from treescore.synth import GenConfig, gen_leaf_uniform_vectors, gen_tree
 
 from conftest import (
     HAS_COMPILER,
+    chain_tree,
     random_ensemble,
     random_matrix,
     random_unbalanced_tree,
@@ -40,13 +44,6 @@ def all_evaluators(ensemble, batch_sizes=(1, 4, 16)):
     evs = [build(ensemble, kind) for kind in SCALAR_KINDS]
     evs += [build(ensemble, StrategyKind.VPREDICATED, v) for v in batch_sizes]
     return evs
-
-
-def chain_tree(depth: int) -> Tree:
-    node = Node.leaf(1.0)
-    for level in range(depth):
-        node = Node.internal(0, 0.5 / (level + 2), node, Node.leaf(2.0))
-    return Tree(node)
 
 
 class TestBuild:
@@ -279,27 +276,32 @@ class TestStorage:
             assert build(ens, kind).stored_node_count == tree.node_count
 
 
-LAYOUT_KINDS = (StrategyKind.COMPACT_LINKED, StrategyKind.CONTIGUOUS)
+LINKED_LAYOUTS = ((StrategyKind.COMPACT_LINKED, None),
+                  (StrategyKind.CONTIGUOUS, None))
+# The four table strategies with native kernels; v = 300 is above the 256
+# lanes the lockstep kernel keeps on the stack.
+TABLE_BUILDS = LINKED_LAYOUTS + ((StrategyKind.PREDICATED, None),) + tuple(
+    (StrategyKind.VPREDICATED, v) for v in (1, 3, 16, 300))
 
 
 @pytest.fixture(params=[pytest.param("native", marks=requires_compiler),
                         "python"])
 def layout_path(request, monkeypatch):
-    """Run compact_linked/contiguous natively, or on the Python fallback
-    with the kernel loader patched out."""
+    """Run the table strategies natively, or on the Python fallback with
+    the kernel loader patched out."""
     if request.param == "python":
         monkeypatch.setattr(native, "load_layout_kernels", lambda: None)
     return request.param
 
 
-def assert_layouts_match_reference(ens, X, path):
+def assert_layouts_match_reference(ens, X, path, builds=TABLE_BUILDS):
     expected = reference_batch(ens, X)
-    for kind in LAYOUT_KINDS:
-        ev = build(ens, kind)
+    for kind, v in builds:
+        ev = build(ens, kind, v)
         assert ev.native == (path == "native")
-        assert np.array_equal(ev.predict_batch(X), expected), kind
+        assert np.array_equal(ev.predict_batch(X), expected), (kind, v)
         rows = np.array([ev.predict(X[i]) for i in range(X.shape[0])])
-        assert np.array_equal(rows, expected), kind
+        assert np.array_equal(rows, expected), (kind, v)
 
 
 class TestLayoutKernels:
@@ -326,8 +328,8 @@ class TestLayoutKernels:
         ens = Ensemble(2, [tree])
         X = np.array([[0.0, 0.5], [0.0, 0.25]], dtype=np.float32)
         assert_layouts_match_reference(ens, X, layout_path)
-        for kind in LAYOUT_KINDS:
-            assert build(ens, kind).predict(X[0]) == 1.0
+        for kind, v in TABLE_BUILDS:
+            assert build(ens, kind, v).predict(X[0]) == 1.0
         # Every feature of every row sits exactly on one of its thresholds.
         rng = np.random.default_rng(32)
         ens = random_ensemble(rng, 8, 6, 6)
@@ -349,8 +351,8 @@ class TestLayoutKernels:
         ens = Ensemble(1, [tree])
         X = np.array([[np.nan], [np.inf], [-np.inf]], dtype=np.float32)
         assert_layouts_match_reference(ens, X, layout_path)
-        for kind in LAYOUT_KINDS:
-            assert list(build(ens, kind).predict_batch(X)) == [1.0, 1.0, -1.0]
+        for kind, v in TABLE_BUILDS:
+            assert list(build(ens, kind, v).predict_batch(X)) == [1.0, 1.0, -1.0]
         rng = np.random.default_rng(33)
         ens = random_ensemble(rng, 16, 8, 7)
         X = random_matrix(rng, 400, 16)
@@ -361,7 +363,63 @@ class TestLayoutKernels:
     def test_very_deep_chain(self, layout_path):
         ens = Ensemble(2, [(chain_tree(3000), 0.5)])
         X = np.array([[0.0, 0.0], [1e-4, 0.0], [0.9, 0.0]], dtype=np.float32)
+        assert_layouts_match_reference(ens, X, layout_path, LINKED_LAYOUTS)
+
+    def test_max_depth_tree(self, layout_path):
+        # A depth-16 chain (131,071 complete-table entries) whose thresholds
+        # fall level by level, so that the rows leave it at every level,
+        # between thresholds and exactly on them, next to shallow trees.
+        node = Node.leaf(-1.0)
+        for level in range(MAX_DEPTH):
+            node = Node.internal(0, (level + 1) / 32, node, Node.leaf(level))
+        rng = np.random.default_rng(35)
+        ens = Ensemble(2, [(Tree(node), 0.5),
+                           (random_unbalanced_tree(rng, 4, 2), 1.5),
+                           (Tree(Node.leaf(3.0)), 1.0)])
+        X = rng.random((2 * MAX_DEPTH + 2, 2), dtype=np.float32)
+        X[:, 0] = np.arange(2 * MAX_DEPTH + 2) / 64
         assert_layouts_match_reference(ens, X, layout_path)
+
+    def test_lane_counts_and_remainders(self, layout_path):
+        # The empty batch, and row counts below and above each v (and the
+        # stack cap) that leave a short last block for v = 3, 16 and 300.
+        rng = np.random.default_rng(36)
+        ens = random_ensemble(rng, 16, 6, 7)
+        for n in (0, 1, 2, 17, 299, 701):
+            assert_layouts_match_reference(ens, random_matrix(rng, n, 16),
+                                           layout_path)
+
+    def test_read_only_inputs(self, layout_path):
+        rng = np.random.default_rng(38)
+        ens = random_ensemble(rng, 8, 5, 6)
+        X = random_matrix(rng, 40, 8)
+        X.flags.writeable = False
+        assert_layouts_match_reference(ens, X, layout_path)
+
+    def test_concurrent_predict_batch(self, layout_path):
+        rng = np.random.default_rng(37)
+        ens = random_ensemble(rng, 32, 10, 8)
+        evaluators = [build(ens, kind, v) for kind, v in TABLE_BUILDS]
+        inputs = [random_matrix(rng, int(rng.integers(1, 400)), 32)
+                  for _ in range(8)]
+        expected = [reference_batch(ens, X) for X in inputs]
+
+        def score(k):
+            return [[ev.predict_batch(inputs[k]) for ev in evaluators]
+                    for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(score, k) for k in range(len(inputs))]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for k, rounds in enumerate(results):
+            for scores in rounds:
+                for (kind, v), out in zip(TABLE_BUILDS, scores):
+                    assert np.array_equal(out, expected[k]), (kind, v, k)
 
 
 class TestLayoutKernelResources:
@@ -385,15 +443,22 @@ class TestLayoutKernelResources:
                      StrategyKind.CONTIGUOUS).native is False
 
     @requires_compiler
-    def test_library_built_once_per_process(self):
-        units = len(codegen._LIVE_UNITS)
+    def test_library_built_once_per_process(self, monkeypatch):
         lib = native.load_layout_kernels()
+        compiles = []
+        compile_shared_object = codegen.compile_shared_object
+
+        def spy(*args, **kwargs):
+            compiles.append(args)
+            return compile_shared_object(*args, **kwargs)
+
+        monkeypatch.setattr(codegen, "compile_shared_object", spy)
         ens = Ensemble(2, [chain_tree(3)])
         for _ in range(3):
-            for kind in LAYOUT_KINDS:
-                assert build(ens, kind).native
+            for kind, v in TABLE_BUILDS:
+                assert build(ens, kind, v).native
         assert native.load_layout_kernels() is lib
-        assert len(codegen._LIVE_UNITS) == units
+        assert compiles == []
 
     @requires_compiler
     def test_compact_records_freed_with_evaluator(self, monkeypatch):
