@@ -41,7 +41,6 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import native
 from .codegen import CompilerNotFoundError, build_generated, find_compiler, OPT_FLAGS
 from .data import Dataset
 from .evaluators import (
@@ -195,10 +194,6 @@ def collect_environment() -> dict:
         "numpy": np.__version__,
         "compiler": compiler or "unavailable",
         "compiler_flags": " ".join(OPT_FLAGS),
-        # compact_linked, contiguous, predicated and vpredicated: native
-        # kernels, or the Python paths when no kernel library could be built.
-        "layout_kernels": ("native" if native.load_layout_kernels() is not None
-                           else "python"),
         "timer_resolution_ns": str(_TIMER_RESOLUTION_NS),
         "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "notes": ("timings include weighted ensemble accumulation; generated "
@@ -252,9 +247,9 @@ def _run(cells, cfg: BenchConfig, passes: int, progress=None) -> BenchReport:
     one cell at a time.  Each cell gets every strategy (one ``vpredicated``
     per batch size), one correctness gate, then ``passes`` timed passes,
     strategy after strategy.  Rows are keyed (strategy, depth, features,
-    batch) and kept in first-seen order; a missing compiler marks the
-    ``generated`` row unavailable and the run carries on.  ``progress``,
-    when given, receives one line per timed pass.
+    batch) and kept in first-seen order; a missing compiler marks the rows
+    of every strategy but ``heap_linked`` unavailable and the run carries
+    on.  ``progress``, when given, receives one line per timed pass.
     """
     rows: dict = {}
     for depth, features, ensemble, matrix in cells:
@@ -268,15 +263,14 @@ def _run(cells, cfg: BenchConfig, passes: int, progress=None) -> BenchReport:
                 if row is None:
                     row = rows[key] = BenchRow(*key, n)
                 label = f"{kind}{f' v={batch}' if batch else ''}"
-                if kind is StrategyKind.GENERATED:
-                    try:
-                        evaluator = build_generated(ensemble)
-                    except CompilerNotFoundError as exc:
-                        row.available = False
-                        row.note = str(exc)
-                        continue
-                else:
-                    evaluator = build(ensemble, kind, batch)
+                try:
+                    evaluator = (build_generated(ensemble)
+                                 if kind is StrategyKind.GENERATED
+                                 else build(ensemble, kind, batch))
+                except CompilerNotFoundError as exc:
+                    row.available = False
+                    row.note = str(exc)
+                    continue
                 built.append((label, row, evaluator))
         _correctness_gate(ensemble, [(label, evaluator)
                                      for label, _, evaluator in built], matrix)

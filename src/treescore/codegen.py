@@ -41,6 +41,9 @@ COMPILER_ENV_VAR = "TREESCORE_CC"
 OPT_FLAGS = ("-O3", "-fomit-frame-pointer", "-pipe")
 ENTRY_SYMBOL = "score_ensemble"
 BATCH_SYMBOL = "score_batch"
+# Nesting deeper than this many levels is emitted at this indentation, so
+# the source of a deep tree grows linearly with its depth.
+MAX_INDENT = 16
 
 
 class CompilerNotFoundError(RuntimeError):
@@ -82,7 +85,7 @@ def _emit_tree(root: Node, lines: list) -> None:
     pending = [(root, 1)]
     while pending:
         item, indent = pending.pop()
-        pad = "    " * indent
+        pad = "    " * min(indent, MAX_INDENT)
         if isinstance(item, str):
             lines.append(pad + item)
         elif item.is_leaf:

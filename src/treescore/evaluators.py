@@ -32,15 +32,11 @@ vpredicated
 
 The four table strategies (compact_linked, contiguous, predicated and
 vpredicated) score whole ensembles in the native kernels of
-:mod:`treescore.native` when a C compiler is available, so that their
-comparisons measure layout, branches and lockstep rather than the
-interpreter; predicated is the lockstep kernel with one lane.  Without a
-compiler they fall back to Python, with identical scores: loops over
-``__slots__`` records and lists, and for the predicated pair per-depth
-unrolled kernels over list mirrors of the tables, vectorized across each
-full batch with numpy for vpredicated (remainder rows take the scalar
-kernel).  A generic loop kernel exists alongside the unrolled ones and the
-test suite asserts the two agree.
+:mod:`treescore.native`, so that their comparisons measure layout,
+branches and lockstep rather than the interpreter; predicated is the
+lockstep kernel with one lane.  Like ``generated`` they need a C
+compiler: without one, :func:`build` raises
+:class:`~treescore.codegen.CompilerNotFoundError` for them.
 """
 
 from __future__ import annotations
@@ -78,62 +74,17 @@ ALL_STRATEGIES = tuple(StrategyKind)
 
 
 # ---------------------------------------------------------------------------
-# Predication kernels
+# Predication index oracles
 # ---------------------------------------------------------------------------
 #
-# The scalar kernel works on plain Python lists and ints; the batch kernel
-# works on numpy arrays, advancing every instance of the batch one level
-# per statement.  Both are generated unrolled per depth and dispatched from
-# a table at build time; leaf_index_predicated and the index-path helpers
-# are the generic loop forms the tests hold them to.
-
-def _make_scalar_kernel(depth: int):
-    lines = ["def _kernel(fids, thetas, x):", "    i = 0"]
-    lines += ["    i = (i << 1) + 2 - (float(x[fids[i]]) < thetas[i])"] * depth
-    lines.append(f"    return i - {(1 << depth) - 1}")
-    namespace: dict = {}
-    exec(compile("\n".join(lines), f"<predicated depth={depth}>", "exec"), namespace)
-    return namespace["_kernel"]
-
-
-def _make_batch_kernel(depth: int):
-    lines = [
-        "def _kernel(fids, thetas, V, rows):",
-        "    i = np.zeros(rows.shape[0], dtype=np.intp)",
-    ]
-    lines += ["    i = (i << 1) + 2 - (V[rows, fids[i]] < thetas[i])"] * depth
-    lines.append(f"    return i - {(1 << depth) - 1}")
-    namespace: dict = {"np": np}
-    exec(compile("\n".join(lines), f"<vpredicated depth={depth}>", "exec"), namespace)
-    return namespace["_kernel"]
-
-
-_SCALAR_KERNELS: dict = {}
-_BATCH_KERNELS: dict = {}
-
-
-def scalar_kernel(depth: int):
-    """Unrolled single-instance kernel for ``depth``, from the dispatch table."""
-    kernel = _SCALAR_KERNELS.get(depth)
-    if kernel is None:
-        kernel = _SCALAR_KERNELS[depth] = _make_scalar_kernel(depth)
-    return kernel
-
-
-def batch_kernel(depth: int):
-    """Unrolled lockstep-batch kernel for ``depth``, from the dispatch table."""
-    kernel = _BATCH_KERNELS.get(depth)
-    if kernel is None:
-        kernel = _BATCH_KERNELS[depth] = _make_batch_kernel(depth)
-    return kernel
-
+# Generic loop forms of the branch-free index update, one instance or one
+# lockstep batch at a time.  The evaluators score in the native kernel;
+# the tests hold these to the reference traversal and to each other.
 
 def leaf_index_predicated(ct: CompleteTree, x) -> int:
     """Branch-free leaf lookup: apply the index update exactly ``d`` times.
 
-    Returns the leaf ordinal ``i - (2^d - 1)`` in ``[0, 2^d)``.  Generic
-    loop form; the evaluators use the unrolled per-depth kernels, which the
-    tests hold to this function's output.
+    Returns the leaf ordinal ``i - (2^d - 1)`` in ``[0, 2^d)``.
     """
     fids = ct.fids
     thetas = ct.thetas
@@ -259,9 +210,6 @@ class _BoxedInternal:
             return self.left.eval(x)
         return self.right.eval(x)
 
-    def count(self):
-        return 1 + self.left.count() + self.right.count()
-
 
 class _BoxedLeaf:
     def __init__(self, value):
@@ -269,9 +217,6 @@ class _BoxedLeaf:
 
     def eval(self, x):
         return self.value
-
-    def count(self):
-        return 1
 
 
 class HeapLinkedEvaluator(Evaluator):
@@ -287,6 +232,7 @@ class HeapLinkedEvaluator(Evaluator):
                                   copy(node.left), copy(node.right))
 
         self._trees = tuple((copy(t.root), w) for t, w in ensemble.trees)
+        self._node_count = sum(t.node_count for t, _ in ensemble.trees)
 
     def _predict_row(self, x) -> float:
         acc = 0.0
@@ -301,11 +247,13 @@ class HeapLinkedEvaluator(Evaluator):
         root, weight = self._trees[0]
         evaluate = root.eval
         for i in range(matrix.shape[0]):
-            out[i] = weight * evaluate(matrix[i])
+            # Added to 0.0 like every accumulation, so a -0.0 product
+            # scores 0.0, bit for bit.
+            out[i] = 0.0 + weight * evaluate(matrix[i])
 
     @property
     def stored_node_count(self) -> int:
-        return sum(root.count() for root, _ in self._trees)
+        return self._node_count
 
 
 # -- the table strategies ------------------------------------------------------
@@ -354,45 +302,28 @@ class _LayoutEvaluator(Evaluator):
     """Build and dispatch shared by the four table strategies.
 
     Subclasses pack their tables (``_pack(ensemble)`` returns the tables
-    and the stored node count), build a native kernel over them with
-    ``_native_kernel(lib, num_features, tables, weights)``, and provide
-    the Python fallback: ``_build_python(tables, weights)`` and
-    ``_python_row(x)``, plus ``_python_into(matrix, out)`` where a batch
-    loop beats row after row.  With a kernel library loaded, ``_kernel``
-    scores rows and batches natively; otherwise it is ``None`` and the
-    Python path runs.
+    and the stored node count) and build a native kernel over them with
+    ``_native_kernel(lib, num_features, tables, weights)``, which scores
+    rows and batches.  Building raises
+    :class:`~treescore.codegen.CompilerNotFoundError` without a compiler.
     """
+
+    # Every table strategy runs natively.  The attribute stays because the
+    # benchmark in ``perfbench/`` reads ``.native`` on every run.
+    native = True
 
     def __init__(self, ensemble: Ensemble):
         super().__init__(ensemble)
         tables, self._node_count = self._pack(ensemble)
         weights = [w for _, w in ensemble.trees]
-        lib = native.load_layout_kernels()
-        if lib is None:
-            self._kernel = None
-            self._build_python(tables, weights)
-        else:
-            self._kernel = self._native_kernel(lib, self.num_features,
-                                               tables, weights)
-
-    @property
-    def native(self) -> bool:
-        """Whether predictions run in the native kernel."""
-        return self._kernel is not None
+        self._kernel = self._native_kernel(native.load_layout_kernels(),
+                                           self.num_features, tables, weights)
 
     def _predict_row(self, x) -> float:
-        if self._kernel is None:
-            return self._python_row(x)
         return self._kernel.score_row(x)
 
     def _predict_into(self, matrix, out) -> None:
-        if self._kernel is None:
-            self._python_into(matrix, out)
-        else:
-            self._kernel.score_into(matrix, out)
-
-    def _python_into(self, matrix, out) -> None:
-        super()._predict_into(matrix, out)
+        self._kernel.score_into(matrix, out)
 
     @property
     def stored_node_count(self) -> int:
@@ -409,48 +340,15 @@ class _LinkedLayoutEvaluator(_LayoutEvaluator):
         return tables, len(tables[0])
 
 
-class _CompactNode:
-    # fid < 0 marks a leaf; ``value`` is the threshold or the leaf value.
-    __slots__ = ("fid", "value", "left", "right")
-
-    def __init__(self, fid, value, left, right):
-        self.fid = fid
-        self.value = value
-        self.left = left
-        self.right = right
-
-
 class CompactLinkedEvaluator(_LinkedLayoutEvaluator):
-    """One record per node, individually allocated and pointer-chased.
+    """One record per node, individually ``malloc``'d and pointer-chased.
 
-    Natively the records are ``malloc``'d in depth-first post-order; in
-    Python they are ``__slots__`` objects created in the same order.
+    The records are allocated in depth-first post-order.
     """
 
     kind = StrategyKind.COMPACT_LINKED
     _breadth_first = False
     _native_kernel = staticmethod(native.compact_kernel)
-
-    def _build_python(self, tables, weights) -> None:
-        fids, slots, left, right, roots = tables
-        nodes = []
-        for fid, slot, lo, hi in zip(fids, slots, left, right):
-            if fid < 0:
-                nodes.append(_CompactNode(-1, slot, None, None))
-            else:
-                nodes.append(_CompactNode(fid, slot, nodes[lo], nodes[hi]))
-        self._trees = tuple((nodes[r], w) for r, w in zip(roots, weights))
-
-    def _python_row(self, x) -> float:
-        acc = 0.0
-        for node, weight in self._trees:
-            while node.fid >= 0:
-                if x[node.fid] < node.value:
-                    node = node.left
-                else:
-                    node = node.right
-            acc += weight * node.value
-        return acc
 
 
 class ContiguousEvaluator(_LinkedLayoutEvaluator):
@@ -466,32 +364,13 @@ class ContiguousEvaluator(_LinkedLayoutEvaluator):
     _breadth_first = True
     _native_kernel = staticmethod(native.contiguous_kernel)
 
-    def _build_python(self, tables, weights) -> None:
-        fids, slots, left, right, roots = tables
-        self._tables = (fids, slots, left, right)
-        self._trees = tuple(zip(roots, weights))
-
-    def _python_row(self, x) -> float:
-        fids, slots, left, right = self._tables
-        acc = 0.0
-        for j, weight in self._trees:
-            fid = fids[j]
-            while fid >= 0:
-                if x[fid] < slots[j]:
-                    j = left[j]
-                else:
-                    j = right[j]
-                fid = fids[j]
-            acc += weight * slots[j]
-        return acc
-
 
 # -- predicated ------------------------------------------------------------------
 
 class PredicatedEvaluator(_LayoutEvaluator):
     """Branch-free complete-table traversal, one instance at a time.
 
-    Natively this is the lockstep kernel with one lane.
+    This is the lockstep kernel with one lane.
     """
 
     kind = StrategyKind.PREDICATED
@@ -504,33 +383,15 @@ class PredicatedEvaluator(_LayoutEvaluator):
         return native.predicated_kernel(lib, num_features, tables, weights,
                                         self.batch_size or 1)
 
-    def _build_python(self, tables, weights) -> None:
-        # Python-list mirrors keep the scalar inner loop free of numpy
-        # scalar boxing; values are identical to the packed tables.
-        self._trees = tuple(
-            (scalar_kernel(ct.depth), [int(v) for v in ct.fids],
-             [float(v) for v in ct.thetas],
-             [float(v) for v in ct.leaf_values], weight)
-            for ct, weight in zip(tables, weights))
-
-    def _python_row(self, x) -> float:
-        acc = 0.0
-        for kernel, fids, thetas, leaves, weight in self._trees:
-            acc += weight * leaves[kernel(fids, thetas, x)]
-        return acc
-
 
 # -- vpredicated -------------------------------------------------------------------
 
 class VPredicatedEvaluator(PredicatedEvaluator):
     """Lockstep predication over batches of ``batch_size`` instances.
 
-    All ``v`` cursors of a batch advance one tree level per step.
-    Natively a short last batch simply has fewer lanes.  In Python the
-    full batches advance in numpy and the remainder rows (and ``v=1``)
-    take the inherited scalar path, which produces identical results.
-    Interleaving is per tree, so ensembles of mixed depths are handled
-    tree-locally.
+    All ``v`` cursors of a batch advance one tree level per step; a short
+    last batch simply has fewer lanes.  Interleaving is per tree, so
+    ensembles of mixed depths are handled tree-locally.
     """
 
     kind = StrategyKind.VPREDICATED
@@ -541,29 +402,6 @@ class VPredicatedEvaluator(PredicatedEvaluator):
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.batch_size = batch_size  # before the base builds the kernel
         super().__init__(ensemble)
-
-    def _build_python(self, tables, weights) -> None:
-        super()._build_python(tables, weights)
-        self._rows = np.arange(self.batch_size)
-        self._vector_trees = tuple(
-            (batch_kernel(ct.depth) if ct.depth else None, ct.fids, ct.thetas,
-             ct.leaf_values.astype(np.float64), weight)
-            for ct, weight in zip(tables, weights))
-
-    def _python_into(self, matrix, out) -> None:
-        v = self.batch_size
-        full = (matrix.shape[0] // v) * v if v > 1 else 0
-        rows = self._rows
-        for start in range(0, full, v):
-            V = matrix[start:start + v]
-            acc = np.zeros(v, dtype=np.float64)
-            for kernel, fids, thetas, leaf64, weight in self._vector_trees:
-                if kernel is None:
-                    acc += weight * leaf64[0]
-                else:
-                    acc += weight * leaf64[kernel(fids, thetas, V, rows)]
-            out[start:start + v] = acc
-        super()._python_into(matrix[full:], out[full:])
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +420,10 @@ def build(ensemble: Ensemble, kind, batch_size: int | None = None) -> Evaluator:
     """Build an evaluator of the given kind from an ensemble.
 
     ``batch_size`` applies to (and is required by) ``vpredicated`` only.
-    ``generated`` evaluators are built by
-    :func:`treescore.codegen.build_generated`, which needs a host compiler.
+    Every kind but ``heap_linked`` runs native code and raises
+    :class:`~treescore.codegen.CompilerNotFoundError` without a host
+    compiler.  ``generated`` evaluators are built by
+    :func:`treescore.codegen.build_generated`.
     Predicated kinds raise :class:`~treescore.model.DepthLimitError` for
     trees deeper than :data:`~treescore.model.MAX_DEPTH`.
     """

@@ -3,9 +3,10 @@
 One fixed C source holds the kernels of ``compact_linked``, ``contiguous``
 and the predicated pair.  It is compiled once per process with the
 compiler, flags and build step of :mod:`treescore.codegen`, and the loaded
-library is cached by the source's hash.  Without a C compiler
-:func:`load_layout_kernels` returns ``None`` and the four strategies run
-their Python paths instead, so only ``generated`` requires a compiler.
+library is cached for the life of the process.  Like ``generated``, the
+four strategies need a C compiler: without one :func:`load_layout_kernels`
+raises :class:`~treescore.codegen.CompilerNotFoundError`, and so does
+building any of them.
 
 Each kernel scores a whole ensemble in one call.  Per row it walks every
 tree in order, goes left iff ``x[fid] < threshold`` (ties, NaN and +inf
@@ -34,10 +35,8 @@ predicated and vpredicated
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import tempfile
 import threading
-import warnings
 import weakref
 from pathlib import Path
 
@@ -203,11 +202,9 @@ class _Model(ctypes.Structure):
                 ("v", ctypes.c_int64)]
 
 
-# sha256 of a kernel source -> its loaded library, or None once a build of
-# it has failed with a compiler present.
-_LIBRARIES: dict = {}
+# The loaded library, once built.
+_LIBRARY = None
 _LOCK = threading.Lock()
-_SOURCE_KEY = hashlib.sha256(_SOURCE.encode("utf-8")).hexdigest()
 
 
 def _build_library(codegen) -> ctypes.CDLL:
@@ -231,27 +228,21 @@ def _build_library(codegen) -> ctypes.CDLL:
     return lib
 
 
-def load_layout_kernels() -> ctypes.CDLL | None:
-    """The layout-kernel library, built on first use; ``None`` without a compiler.
+def load_layout_kernels() -> ctypes.CDLL:
+    """The layout-kernel library, built on first use.
 
-    A missing compiler is not remembered, so one that appears on PATH later
-    is used.  A failed build is remembered and reported once as a warning.
+    Raises :class:`~treescore.codegen.CompilerNotFoundError` without a
+    compiler and :class:`~treescore.codegen.CompilationError` on a failed
+    build.  Neither is remembered, so the next call tries again.
     """
+    global _LIBRARY
     # Deferred: codegen imports evaluators, which imports this module.
     from . import codegen
 
     with _LOCK:
-        if _SOURCE_KEY not in _LIBRARIES:
-            try:
-                _LIBRARIES[_SOURCE_KEY] = _build_library(codegen)
-            except codegen.CompilerNotFoundError:
-                return None
-            except (codegen.CompilationError, OSError) as exc:
-                warnings.warn(f"layout kernels unavailable, compact_linked, "
-                              f"contiguous, predicated and vpredicated run in "
-                              f"Python: {exc}", RuntimeWarning)
-                _LIBRARIES[_SOURCE_KEY] = None
-        return _LIBRARIES[_SOURCE_KEY]
+        if _LIBRARY is None:
+            _LIBRARY = _build_library(codegen)
+        return _LIBRARY
 
 
 def address(array: np.ndarray) -> int:

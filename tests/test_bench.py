@@ -10,6 +10,7 @@ import pytest
 
 import treescore
 from treescore import (
+    ALL_STRATEGIES,
     BenchConfig,
     BenchReport,
     BenchRow,
@@ -115,19 +116,24 @@ class TestRunSweep:
         assert len(report.row(StrategyKind.CONTIGUOUS, 3, 32).trial_elapsed_ns) == 2
         assert "unavailable" in export_csv(report)
 
+    def test_table_strategies_marked_unavailable_without_compiler(
+            self, monkeypatch):
+        monkeypatch.setattr(native, "_LIBRARY", None)
+        monkeypatch.setenv("PATH", "")
+        monkeypatch.delenv("TREESCORE_CC", raising=False)
+        report = run_sweep(small_cfg(strategies=ALL_STRATEGIES))
+        for row in report.rows:
+            if row.strategy == "heap_linked":
+                assert row.available and len(row.trial_elapsed_ns) == 2
+            else:
+                assert not row.available and row.trial_elapsed_ns == []
+                assert "compiler" in row.note
+        assert len(report.rows) == 6  # one vpredicated row, at v=4
+
     def test_metadata_present(self):
         report = run_sweep(small_cfg())
         for key in ("cpu", "python", "numpy", "date", "timer_resolution_ns"):
             assert key in report.metadata
-
-    def test_metadata_records_layout_kernel_path(self, monkeypatch):
-        native_path = native.load_layout_kernels() is not None
-        report = run_sweep(small_cfg())
-        assert report.metadata["layout_kernels"] == \
-            ("native" if native_path else "python")
-        assert "# layout_kernels: " in export_csv(report)
-        monkeypatch.setattr(native, "load_layout_kernels", lambda: None)
-        assert run_sweep(small_cfg()).metadata["layout_kernels"] == "python"
 
 
 class TestRunFixed:

@@ -17,6 +17,7 @@ from treescore import (
     reference_batch,
 )
 from treescore.codegen import (
+    MAX_INDENT,
     CompilationError,
     CompilerNotFoundError,
     SymbolResolutionError,
@@ -65,6 +66,14 @@ static float tree_0(const float *x) {
         rng = np.random.default_rng(1)
         ens = random_ensemble(rng, 8, 4, 5)
         assert emit_source(ens) == emit_source(ens)
+
+    def test_deep_chain_source_grows_linearly(self):
+        # Four spaces per level would make this 18 MB; the indentation
+        # stops growing at MAX_INDENT levels.
+        source = emit_source(Ensemble(2, [(chain_tree(1500), 0.5)]))
+        assert len(source) < 1_000_000
+        assert "    " * (MAX_INDENT + 1) + "if" not in source
+        assert "    " * MAX_INDENT + "if" in source
 
     def test_weights_and_order_in_ensemble_function(self):
         ens = Ensemble(4, [(Tree(Node.leaf(1.0)), 0.25),

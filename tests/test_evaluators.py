@@ -24,7 +24,6 @@ from treescore import (
     vpredicated_index_paths,
 )
 from treescore import codegen, native
-from treescore.evaluators import batch_kernel, scalar_kernel
 from treescore.synth import GenConfig, gen_leaf_uniform_vectors, gen_tree
 
 from conftest import (
@@ -222,23 +221,6 @@ class TestPredicationKernel:
                 assert path[0] == 0 and len(path) == depth + 1
                 assert lo <= path[-1] < hi
 
-    def test_unrolled_kernels_match_generic(self):
-        rng = np.random.default_rng(16)
-        for depth in range(1, 9):
-            tree = gen_tree(GenConfig(depth=depth, num_features=16, seed=depth))
-            ct = expand_to_complete(tree)
-            fids = [int(v) for v in ct.fids]
-            thetas = [float(v) for v in ct.thetas]
-            kern = scalar_kernel(depth)
-            bkern = batch_kernel(depth)
-            X = random_matrix(rng, 40, 16)
-            rows = np.arange(40)
-            batch_ords = bkern(ct.fids, ct.thetas, X, rows)
-            for i in range(40):
-                expected = leaf_index_predicated(ct, X[i])
-                assert kern(fids, thetas, X[i]) == expected
-                assert int(batch_ords[i]) == expected
-
     def test_vpred_v1_step_sequence_equals_scalar(self):
         tree = gen_tree(GenConfig(depth=6, num_features=8, seed=19))
         ct = expand_to_complete(tree)
@@ -284,50 +266,46 @@ TABLE_BUILDS = LINKED_LAYOUTS + ((StrategyKind.PREDICATED, None),) + tuple(
     (StrategyKind.VPREDICATED, v) for v in (1, 3, 16, 300))
 
 
-@pytest.fixture(params=[pytest.param("native", marks=requires_compiler),
-                        "python"])
-def layout_path(request, monkeypatch):
-    """Run the table strategies natively, or on the Python fallback with
-    the kernel loader patched out."""
-    if request.param == "python":
-        monkeypatch.setattr(native, "load_layout_kernels", lambda: None)
+@pytest.fixture(params=[pytest.param("native", marks=requires_compiler)])
+def layout_path(request):
+    """The path the table strategies run on: their native kernels, which
+    need a host compiler."""
     return request.param
 
 
-def assert_layouts_match_reference(ens, X, path, builds=TABLE_BUILDS):
+def assert_layouts_match_reference(ens, X, builds=TABLE_BUILDS):
     expected = reference_batch(ens, X)
     for kind, v in builds:
         ev = build(ens, kind, v)
-        assert ev.native == (path == "native")
         assert np.array_equal(ev.predict_batch(X), expected), (kind, v)
         rows = np.array([ev.predict(X[i]) for i in range(X.shape[0])])
         assert np.array_equal(rows, expected), (kind, v)
 
 
+@pytest.mark.usefixtures("layout_path")
 class TestLayoutKernels:
-    def test_mixed_ensembles(self, layout_path):
+    def test_mixed_ensembles(self):
         rng = np.random.default_rng(30)
         for _ in range(8):
             f = int(rng.choice([4, 32, 128]))
             ens = random_ensemble(rng, f, int(rng.integers(2, 40)),
                                   int(rng.integers(0, 9)))
-            assert_layouts_match_reference(ens, random_matrix(rng, 200, f),
-                                           layout_path)
+            assert_layouts_match_reference(ens, random_matrix(rng, 200, f))
 
-    def test_depth_zero_trees(self, layout_path):
+    def test_depth_zero_trees(self):
         ens = Ensemble(3, [(Tree(Node.leaf(1.5)), 0.5),
                            (chain_tree(2), 2.0),
                            (Tree(Node.leaf(-4.0)), 1.25)])
         X = random_matrix(np.random.default_rng(31), 50, 3)
-        assert_layouts_match_reference(ens, X, layout_path)
+        assert_layouts_match_reference(ens, X)
         single = Ensemble(3, [(Tree(Node.leaf(-4.0)), 0.75)])
-        assert_layouts_match_reference(single, X, layout_path)
+        assert_layouts_match_reference(single, X)
 
-    def test_ties_go_right(self, layout_path):
+    def test_ties_go_right(self):
         tree = Tree(Node.internal(1, 0.5, Node.leaf(-1.0), Node.leaf(1.0)))
         ens = Ensemble(2, [tree])
         X = np.array([[0.0, 0.5], [0.0, 0.25]], dtype=np.float32)
-        assert_layouts_match_reference(ens, X, layout_path)
+        assert_layouts_match_reference(ens, X)
         for kind, v in TABLE_BUILDS:
             assert build(ens, kind, v).predict(X[0]) == 1.0
         # Every feature of every row sits exactly on one of its thresholds.
@@ -344,13 +322,13 @@ class TestLayoutKernels:
         X = random_matrix(rng, 300, 8)
         for fid, values in thresholds.items():
             X[:, fid] = rng.choice(values, size=X.shape[0])
-        assert_layouts_match_reference(ens, X, layout_path)
+        assert_layouts_match_reference(ens, X)
 
-    def test_nonfinite_features(self, layout_path):
+    def test_nonfinite_features(self):
         tree = Tree(Node.internal(0, 0.5, Node.leaf(-1.0), Node.leaf(1.0)))
         ens = Ensemble(1, [tree])
         X = np.array([[np.nan], [np.inf], [-np.inf]], dtype=np.float32)
-        assert_layouts_match_reference(ens, X, layout_path)
+        assert_layouts_match_reference(ens, X)
         for kind, v in TABLE_BUILDS:
             assert list(build(ens, kind, v).predict_batch(X)) == [1.0, 1.0, -1.0]
         rng = np.random.default_rng(33)
@@ -358,14 +336,14 @@ class TestLayoutKernels:
         X = random_matrix(rng, 400, 16)
         mask = rng.random(X.shape) < 0.3
         X[mask] = rng.choice([np.nan, np.inf, -np.inf], size=int(mask.sum()))
-        assert_layouts_match_reference(ens, X, layout_path)
+        assert_layouts_match_reference(ens, X)
 
-    def test_very_deep_chain(self, layout_path):
+    def test_very_deep_chain(self):
         ens = Ensemble(2, [(chain_tree(3000), 0.5)])
         X = np.array([[0.0, 0.0], [1e-4, 0.0], [0.9, 0.0]], dtype=np.float32)
-        assert_layouts_match_reference(ens, X, layout_path, LINKED_LAYOUTS)
+        assert_layouts_match_reference(ens, X, LINKED_LAYOUTS)
 
-    def test_max_depth_tree(self, layout_path):
+    def test_max_depth_tree(self):
         # A depth-16 chain (131,071 complete-table entries) whose thresholds
         # fall level by level, so that the rows leave it at every level,
         # between thresholds and exactly on them, next to shallow trees.
@@ -378,25 +356,24 @@ class TestLayoutKernels:
                            (Tree(Node.leaf(3.0)), 1.0)])
         X = rng.random((2 * MAX_DEPTH + 2, 2), dtype=np.float32)
         X[:, 0] = np.arange(2 * MAX_DEPTH + 2) / 64
-        assert_layouts_match_reference(ens, X, layout_path)
+        assert_layouts_match_reference(ens, X)
 
-    def test_lane_counts_and_remainders(self, layout_path):
+    def test_lane_counts_and_remainders(self):
         # The empty batch, and row counts below and above each v (and the
         # stack cap) that leave a short last block for v = 3, 16 and 300.
         rng = np.random.default_rng(36)
         ens = random_ensemble(rng, 16, 6, 7)
         for n in (0, 1, 2, 17, 299, 701):
-            assert_layouts_match_reference(ens, random_matrix(rng, n, 16),
-                                           layout_path)
+            assert_layouts_match_reference(ens, random_matrix(rng, n, 16))
 
-    def test_read_only_inputs(self, layout_path):
+    def test_read_only_inputs(self):
         rng = np.random.default_rng(38)
         ens = random_ensemble(rng, 8, 5, 6)
         X = random_matrix(rng, 40, 8)
         X.flags.writeable = False
-        assert_layouts_match_reference(ens, X, layout_path)
+        assert_layouts_match_reference(ens, X)
 
-    def test_concurrent_predict_batch(self, layout_path):
+    def test_concurrent_predict_batch(self):
         rng = np.random.default_rng(37)
         ens = random_ensemble(rng, 32, 10, 8)
         evaluators = [build(ens, kind, v) for kind, v in TABLE_BUILDS]
@@ -423,24 +400,26 @@ class TestLayoutKernels:
 
 
 class TestLayoutKernelResources:
-    def test_no_compiler_falls_back_to_python(self, monkeypatch):
-        monkeypatch.setattr(native, "_LIBRARIES", {})
+    def test_no_compiler_raises_for_table_strategies(self, monkeypatch):
+        monkeypatch.setattr(native, "_LIBRARY", None)
         monkeypatch.setenv("PATH", "")
         monkeypatch.delenv("TREESCORE_CC", raising=False)
-        assert native.load_layout_kernels() is None
         ens = Ensemble(2, [chain_tree(4)])
+        for kind, v in TABLE_BUILDS:
+            with pytest.raises(codegen.CompilerNotFoundError):
+                build(ens, kind, v)
         X = random_matrix(np.random.default_rng(34), 20, 2)
-        assert_layouts_match_reference(ens, X, "python")
+        heap = build(ens, StrategyKind.HEAP_LINKED)
+        assert np.array_equal(heap.predict_batch(X), reference_batch(ens, X))
 
-    def test_failed_build_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setattr(native, "_LIBRARIES", {})
+    def test_failed_build_raises_compilation_error(self, monkeypatch):
+        monkeypatch.setattr(native, "_LIBRARY", None)
         monkeypatch.setenv("TREESCORE_CC", "false")
-        with pytest.warns(RuntimeWarning, match="compiler failed"):
-            assert native.load_layout_kernels() is None
-        # The failure is remembered: no second build, no second warning.
-        assert native.load_layout_kernels() is None
-        assert build(Ensemble(2, [chain_tree(3)]),
-                     StrategyKind.CONTIGUOUS).native is False
+        with pytest.raises(codegen.CompilationError, match="compiler failed"):
+            build(Ensemble(2, [chain_tree(3)]), StrategyKind.CONTIGUOUS)
+        # A failure is not remembered: the next build tries again.
+        with pytest.raises(codegen.CompilationError):
+            native.load_layout_kernels()
 
     @requires_compiler
     def test_library_built_once_per_process(self, monkeypatch):
@@ -456,7 +435,7 @@ class TestLayoutKernelResources:
         ens = Ensemble(2, [chain_tree(3)])
         for _ in range(3):
             for kind, v in TABLE_BUILDS:
-                assert build(ens, kind, v).native
+                build(ens, kind, v)
         assert native.load_layout_kernels() is lib
         assert compiles == []
 
@@ -472,7 +451,7 @@ class TestLayoutKernelResources:
         monkeypatch.setattr(native, "_free_records", spy)
         ev = build(Ensemble(2, [chain_tree(5), chain_tree(2)]),
                    StrategyKind.COMPACT_LINKED)
-        assert ev.native and ev.stored_node_count == 16
+        assert ev.stored_node_count == 16
         del ev
         gc.collect()
         assert freed == [16]
