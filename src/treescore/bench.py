@@ -17,9 +17,10 @@ dataset per (trial, depth, features), one pass each; :func:`run_fixed`
 feeds it one fixed model and dataset with ``trials`` passes.
 :func:`best_batch_sizes` reads the batch-size winners off any report.
 
-Scores include the weighted ensemble accumulation, and the generated
-strategy is measured through the same indirect-call interface as every
-other strategy; both facts are recorded in the report metadata.
+Scores include the weighted ensemble accumulation, and every strategy is
+timed through the same ``_predict_into`` call; the five native ones all go
+through the one CPython binding of :mod:`treescore.native`, with the same
+array checks.  Both facts are recorded in the report metadata.
 
 CSV layout (also parsed back by :func:`parse_csv`)::
 
@@ -196,9 +197,9 @@ def collect_environment() -> dict:
         "compiler_flags": " ".join(OPT_FLAGS),
         "timer_resolution_ns": str(_TIMER_RESOLUTION_NS),
         "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "notes": ("timings include weighted ensemble accumulation; generated "
-                  "strategy measured through the same indirect-call interface "
-                  "as all strategies"),
+        "notes": ("timings include weighted ensemble accumulation; every "
+                  "native strategy is called through the same CPython "
+                  "binding"),
     }
 
 

@@ -1,19 +1,24 @@
 """The generated strategy: emit C for an ensemble, compile it, load it.
 
 ``emit_source`` turns each tree into a hard-coded nested if-else function
-(strict ``<`` goes left, mirroring the shared tie rule) plus one exported
-``score_ensemble`` function that sums the weighted tree scores in order,
-and a ``score_batch`` helper that applies it row by row.  Emission is
-deterministic, so goldens are diffable.  Float constants are written as
-C99 hex literals, which are exact, keeping the compiled scorer
-bit-identical to the in-process strategies.
+(strict ``<`` goes left, mirroring the shared tie rule) plus
+``score_ensemble``, which sums the weighted tree scores in order, and one
+exported entry point, ``score_rows``, which applies it row by row with the
+row stride baked in as a constant.  ``score_rows`` has the signature of the
+native layout kernels, ``int (const void *, const float *, int64_t,
+double *)``, so a unit is called through the same CPython binding
+(:mod:`treescore.native`) as every other native strategy, while the
+emitted source stays plain C.  Emission is deterministic, so goldens are
+diffable.  Float constants are written as C99 hex literals, which are
+exact, keeping the compiled scorer bit-identical to the in-process
+strategies.
 
 ``compile_and_load`` shells out to the host C compiler at full
 optimization (through ``compile_shared_object``, which the native layout
-kernels of :mod:`treescore.native` share), loads the shared object with
-ctypes, and resolves the fixed entry symbol ``score_ensemble``.  The
-compiler is discovered on PATH (cc, gcc, clang) or overridden with the
-``TREESCORE_CC`` environment variable.  When no compiler exists the
+kernels of :mod:`treescore.native` share), loads the shared object, and
+binds its entry point.  The compiler is discovered on PATH (cc, gcc,
+clang) or overridden with the ``TREESCORE_CC`` environment variable.  When
+no compiler (or no Python C headers, which the binding needs) exists the
 strategy reports itself unavailable; the benchmark harness marks the row
 and carries on instead of failing the run.
 
@@ -33,14 +38,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Ensemble, Node
+from . import native
 from .evaluators import Evaluator, StrategyKind
-from .native import address
+from .model import Ensemble, Node
 
 COMPILER_ENV_VAR = "TREESCORE_CC"
 OPT_FLAGS = ("-O3", "-fomit-frame-pointer", "-pipe")
-ENTRY_SYMBOL = "score_ensemble"
-BATCH_SYMBOL = "score_batch"
+ENTRY_SYMBOL = "score_rows"
+FEATURES_SYMBOL = "num_features"
 # Nesting deeper than this many levels is emitted at this indentation, so
 # the source of a deep tree grows linearly with its depth.
 MAX_INDENT = 16
@@ -100,13 +105,16 @@ def emit_source(ensemble: Ensemble) -> str:
     """Emit deterministic C source scoring ``ensemble``.
 
     One static ``float tree_<k>(const float *x)`` per tree (separate
-    functions keep compile times tolerable for large ensembles), plus the
-    exported ``double score_ensemble(const float *x)`` and
-    ``void score_batch(const float *x, int64_t n, int64_t f, double *out)``.
+    functions keep compile times tolerable for large ensembles),
+    ``double score_ensemble(const float *x)``, the exported entry point
+    ``int score_rows(const void *model, const float *x, int64_t n,
+    double *out)`` (``model`` is unused) and ``const int64_t
+    num_features``.
     """
+    f = ensemble.num_features
     lines = [
         "/* Generated tree-ensemble scorer. Do not edit. */",
-        f"/* trees={len(ensemble.trees)} num_features={ensemble.num_features} */",
+        f"/* trees={len(ensemble.trees)} num_features={f} */",
         "#include <stdint.h>",
         "",
     ]
@@ -115,29 +123,35 @@ def emit_source(ensemble: Ensemble) -> str:
         _emit_tree(tree.root, lines)
         lines.append("}")
         lines.append("")
-    lines.append(f"double {ENTRY_SYMBOL}(const float *x) {{")
+    lines.append("double score_ensemble(const float *x) {")
     lines.append("    double acc = 0.0;")
     for k, (_, weight) in enumerate(ensemble.trees):
         lines.append(f"    acc += {_c_double(weight)} * (double) tree_{k}(x);")
     lines.append("    return acc;")
     lines.append("}")
     lines.append("")
-    lines.append(f"void {BATCH_SYMBOL}(const float *x, int64_t n, int64_t f, "
-                 "double *out) {")
+    lines.append(f"const int64_t {FEATURES_SYMBOL} = {f};")
+    lines.append("")
+    lines.append(f"int {ENTRY_SYMBOL}(const void *model, const float *x, "
+                 "int64_t n, double *out) {")
     lines.append("    int64_t i;")
     lines.append("    for (i = 0; i < n; i++) {")
-    lines.append(f"        out[i] = {ENTRY_SYMBOL}(x + i * f);")
+    lines.append(f"        out[i] = score_ensemble(x + i * {f});")
     lines.append("    }")
+    lines.append("    return 0;")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 class GeneratedUnit:
-    """A compiled and loaded scorer: source text, artifacts, entry points.
+    """A compiled and loaded scorer: source text, artifacts, entry point.
 
-    A workdir the unit created (``owns_workdir``) is removed when the unit
-    is collected, or at exit, unless ``keep_sources`` is set.  The loaded
-    library stays mapped for the life of the process.
+    ``score(x)`` and ``score_batch_into(matrix, out)`` are the
+    ``score_row`` and ``score_into`` of the unit's entry point bound
+    through :mod:`treescore.native`, which checks their arrays.  A workdir
+    the unit created (``owns_workdir``) is removed when the unit is
+    collected, or at exit, unless ``keep_sources`` is set.  The loaded library stays
+    mapped for the life of the process.
     """
 
     def __init__(self, source_text: str, workdir: Path, lib_path: Path,
@@ -149,33 +163,22 @@ class GeneratedUnit:
         self.compiler = compiler
         self.flags = flags
         self.keep_sources = keep_sources
+        binding = native.load_layout_kernels().Kernel
         try:
-            self._lib = ctypes.CDLL(str(lib_path))
+            lib = ctypes.CDLL(str(lib_path))
         except OSError as exc:
             raise SymbolResolutionError(f"failed to load {lib_path}: {exc}") from exc
         try:
-            self._entry = getattr(self._lib, ENTRY_SYMBOL)
-            self._batch = getattr(self._lib, BATCH_SYMBOL)
-        except AttributeError as exc:
+            entry = native.function_address(getattr(lib, ENTRY_SYMBOL))
+            num_features = ctypes.c_int64.in_dll(lib, FEATURES_SYMBOL).value
+        except (AttributeError, ValueError) as exc:
             raise SymbolResolutionError(
                 f"missing symbol in {lib_path}: {exc}") from exc
-        self._entry.restype = ctypes.c_double
-        self._entry.argtypes = [ctypes.c_void_p]
-        self._batch.restype = None
-        self._batch.argtypes = [ctypes.c_void_p, ctypes.c_int64,
-                                ctypes.c_int64, ctypes.c_void_p]
+        kernel = binding(entry, 0, num_features, lib)
+        self.score = kernel.score_row
+        self.score_batch_into = kernel.score_into
         if owns_workdir and not keep_sources:
             weakref.finalize(self, shutil.rmtree, workdir, ignore_errors=True)
-
-    def score(self, x: np.ndarray) -> float:
-        """Score one C-contiguous float32 feature vector."""
-        return self._entry(address(x))
-
-    def score_batch_into(self, matrix: np.ndarray, out: np.ndarray) -> None:
-        """Score the rows of a C-contiguous float32 matrix into float64 ``out``."""
-        n, f = matrix.shape
-        if n:
-            self._batch(address(matrix), n, f, address(out))
 
 
 def _require_compiler(compiler: str | None) -> str:
@@ -189,10 +192,12 @@ def _require_compiler(compiler: str | None) -> str:
 
 
 def compile_shared_object(source: str, workdir: Path, *,
-                          compiler: str | None = None) -> Path:
+                          compiler: str | None = None,
+                          include_dirs: tuple = ()) -> Path:
     """Write ``source`` to ``workdir/scorer.c`` and build ``scorer.so`` there.
 
-    Compiles at :data:`OPT_FLAGS` and returns the shared object's path.
+    Compiles at :data:`OPT_FLAGS`, searching ``include_dirs`` for headers,
+    and returns the shared object's path.
     Raises :class:`CompilerNotFoundError` when no compiler is discoverable
     and :class:`CompilationError` (with the compiler's diagnostics) on a
     failed build.
@@ -202,7 +207,7 @@ def compile_shared_object(source: str, workdir: Path, *,
     lib_path = workdir / "scorer.so"
     src_path.write_text(source, encoding="utf-8")
     cmd = [compiler, *OPT_FLAGS, "-shared", "-fPIC",
-           "-o", str(lib_path), str(src_path)]
+           *(f"-I{d}" for d in include_dirs), "-o", str(lib_path), str(src_path)]
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True)
     except FileNotFoundError as exc:
@@ -217,13 +222,18 @@ def compile_shared_object(source: str, workdir: Path, *,
 
 def compile_and_load(source: str, workdir=None, *, compiler: str | None = None,
                      keep_sources: bool = False) -> GeneratedUnit:
-    """Compile C ``source`` into a shared object and load its entry points.
+    """Compile C ``source`` into a shared object and bind its entry point.
 
-    Raises :class:`CompilerNotFoundError` when no compiler is discoverable,
-    :class:`CompilationError` (with the compiler's diagnostics) on a failed
-    build, and :class:`SymbolResolutionError` if the built unit cannot be
-    loaded or lacks the documented symbols.
+    Raises :class:`CompilerNotFoundError` when no compiler is discoverable
+    or the binding of :mod:`treescore.native` (built with the discovered
+    compiler) lacks the Python headers, :class:`CompilationError` (with
+    the compiler's diagnostics) on a failed build, and
+    :class:`SymbolResolutionError` if the built unit cannot be loaded or
+    lacks the documented symbols.
     """
+    # The binding the unit is called through: without it, fail before
+    # compiling anything.
+    native.load_layout_kernels()
     compiler = _require_compiler(compiler)
     owns_workdir = workdir is None
     workdir = Path(tempfile.mkdtemp(prefix="treescore-gen-")) if owns_workdir \
@@ -243,11 +253,9 @@ class GeneratedEvaluator(Evaluator):
         super().__init__(ensemble)
         self.unit = unit
 
-    def _predict_row(self, x) -> float:
-        return self.unit.score(x)
-
-    def _predict_into(self, matrix, out) -> None:
-        self.unit.score_batch_into(matrix, out)
+        # Bound once, so that a call goes straight to the binding.
+        self._predict_row = unit.score
+        self._predict_into = unit.score_batch_into
 
     @property
     def stored_node_count(self) -> int:

@@ -35,7 +35,7 @@ vpredicated) score whole ensembles in the native kernels of
 :mod:`treescore.native`, so that their comparisons measure layout,
 branches and lockstep rather than the interpreter; predicated is the
 lockstep kernel with one lane.  Like ``generated`` they need a C
-compiler: without one, :func:`build` raises
+compiler and the Python headers: without either, :func:`build` raises
 :class:`~treescore.codegen.CompilerNotFoundError` for them.
 """
 
@@ -144,13 +144,26 @@ class Evaluator:
 
     # -- public API ---------------------------------------------------------
 
+    # The coercion and checks are inline: a call is the fixed cost of every
+    # request, and a helper call would add to it.
+
     def predict(self, x) -> float:
-        x = self._coerce_vector(x)
+        x = np.ascontiguousarray(x, dtype=np.float32)
+        if x.ndim != 1 or x.shape[0] != self.num_features:
+            raise ValueError(
+                f"feature vector has shape {x.shape}, expected ({self.num_features},)"
+            )
         return self._predict_row(x)
 
     def predict_batch(self, data) -> np.ndarray:
-        matrix = self._coerce_matrix(data)
-        out = np.empty(matrix.shape[0], dtype=np.float64)
+        matrix = data.matrix if isinstance(data, Dataset) else (
+            np.ascontiguousarray(data, dtype=np.float32))
+        if matrix.ndim != 2 or matrix.shape[1] != self.num_features:
+            raise ValueError(
+                f"dataset has shape {matrix.shape}, expected "
+                f"(n, {self.num_features})"
+            )
+        out = np.empty(matrix.shape[0])  # float64; no dtype argument to parse
         self._predict_into(matrix, out)
         return out
 
@@ -160,24 +173,6 @@ class Evaluator:
         raise NotImplementedError
 
     # -- shared plumbing ------------------------------------------------------
-
-    def _coerce_vector(self, x) -> np.ndarray:
-        x = np.ascontiguousarray(x, dtype=np.float32)
-        if x.ndim != 1 or x.shape[0] != self.num_features:
-            raise ValueError(
-                f"feature vector has shape {x.shape}, expected ({self.num_features},)"
-            )
-        return x
-
-    def _coerce_matrix(self, data) -> np.ndarray:
-        matrix = data.matrix if isinstance(data, Dataset) else (
-            np.ascontiguousarray(data, dtype=np.float32))
-        if matrix.ndim != 2 or matrix.shape[1] != self.num_features:
-            raise ValueError(
-                f"dataset has shape {matrix.shape}, expected "
-                f"(n, {self.num_features})"
-            )
-        return matrix
 
     def _predict_row(self, x) -> float:
         raise NotImplementedError
@@ -305,7 +300,8 @@ class _LayoutEvaluator(Evaluator):
     and the stored node count) and build a native kernel over them with
     ``_native_kernel(lib, num_features, tables, weights)``, which scores
     rows and batches.  Building raises
-    :class:`~treescore.codegen.CompilerNotFoundError` without a compiler.
+    :class:`~treescore.codegen.CompilerNotFoundError` without a compiler
+    or the Python headers.
     """
 
     # Every table strategy runs natively.  The attribute stays because the
@@ -316,14 +312,11 @@ class _LayoutEvaluator(Evaluator):
         super().__init__(ensemble)
         tables, self._node_count = self._pack(ensemble)
         weights = [w for _, w in ensemble.trees]
-        self._kernel = self._native_kernel(native.load_layout_kernels(),
-                                           self.num_features, tables, weights)
-
-    def _predict_row(self, x) -> float:
-        return self._kernel.score_row(x)
-
-    def _predict_into(self, matrix, out) -> None:
-        self._kernel.score_into(matrix, out)
+        kernel = self._native_kernel(native.load_layout_kernels(),
+                                     self.num_features, tables, weights)
+        # Bound once, so that a call goes straight to the binding.
+        self._predict_row = kernel.score_row
+        self._predict_into = kernel.score_into
 
     @property
     def stored_node_count(self) -> int:
@@ -422,7 +415,7 @@ def build(ensemble: Ensemble, kind, batch_size: int | None = None) -> Evaluator:
     ``batch_size`` applies to (and is required by) ``vpredicated`` only.
     Every kind but ``heap_linked`` runs native code and raises
     :class:`~treescore.codegen.CompilerNotFoundError` without a host
-    compiler.  ``generated`` evaluators are built by
+    compiler or the Python headers.  ``generated`` evaluators are built by
     :func:`treescore.codegen.build_generated`.
     Predicated kinds raise :class:`~treescore.model.DepthLimitError` for
     trees deeper than :data:`~treescore.model.MAX_DEPTH`.

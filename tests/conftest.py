@@ -1,15 +1,27 @@
-"""Shared helpers: random model builders and compiler availability."""
+"""Shared helpers: random model builders and native-code availability."""
 
 import numpy as np
 import pytest
 
-from treescore import Ensemble, Node, Tree, find_compiler
+from treescore import (CompilationError, CompilerNotFoundError, Ensemble, Node,
+                       Tree, native)
 from treescore.synth import GenConfig, gen_tree
 
-HAS_COMPILER = find_compiler() is not None
+
+def _native_library_builds() -> bool:
+    # Needs a C compiler and the Python headers; built once per session.
+    try:
+        native.load_layout_kernels()
+    except (CompilerNotFoundError, CompilationError):
+        return False
+    return True
+
+
+HAS_COMPILER = _native_library_builds()
 
 requires_compiler = pytest.mark.skipif(
-    not HAS_COMPILER, reason="no host C compiler available")
+    not HAS_COMPILER,
+    reason="the native library does not build (no C compiler or Python headers)")
 
 
 def random_unbalanced_tree(rng, max_depth: int, num_features: int,

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from treescore import bench as bench_mod, native
 from treescore.bench import CSV_HEADER, _correctness_gate, _timed_pass
 from treescore.synth import GenConfig, gen_leaf_uniform_vectors, gen_tree
 
-from conftest import random_ensemble
+from conftest import random_ensemble, requires_compiler
 
 FAST = (StrategyKind.CONTIGUOUS,)
 
@@ -70,7 +71,18 @@ class TestConfig:
                                   StrategyKind.PREDICATED)
 
 
+def assert_only_heap_linked_available(report, reason):
+    for row in report.rows:
+        if row.strategy == "heap_linked":
+            assert row.available and len(row.trial_elapsed_ns) == 2
+        else:
+            assert not row.available and row.trial_elapsed_ns == []
+            assert reason in row.note
+    assert len(report.rows) == 6  # one vpredicated row, at v=4
+
+
 class TestRunSweep:
+    @requires_compiler
     def test_report_shape(self):
         report = run_sweep(small_cfg())
         assert len(report.rows) == 1
@@ -102,6 +114,7 @@ class TestRunSweep:
                          ("predicated", d, 32, None)]
         assert keys == expected
 
+    @requires_compiler
     def test_generated_marked_unavailable_without_compiler(self, monkeypatch):
         monkeypatch.setattr(bench_mod, "build_generated",
                             _raise_compiler_missing)
@@ -121,14 +134,16 @@ class TestRunSweep:
         monkeypatch.setattr(native, "_LIBRARY", None)
         monkeypatch.setenv("PATH", "")
         monkeypatch.delenv("TREESCORE_CC", raising=False)
-        report = run_sweep(small_cfg(strategies=ALL_STRATEGIES))
-        for row in report.rows:
-            if row.strategy == "heap_linked":
-                assert row.available and len(row.trial_elapsed_ns) == 2
-            else:
-                assert not row.available and row.trial_elapsed_ns == []
-                assert "compiler" in row.note
-        assert len(report.rows) == 6  # one vpredicated row, at v=4
+        assert_only_heap_linked_available(run_sweep(small_cfg(
+            strategies=ALL_STRATEGIES)), "compiler")
+
+    def test_native_strategies_marked_unavailable_without_python_headers(
+            self, monkeypatch, tmp_path):
+        monkeypatch.setattr(native, "_LIBRARY", None)
+        paths = dict(sysconfig.get_paths(), include=str(tmp_path))
+        monkeypatch.setattr(sysconfig, "get_paths", lambda *args: paths)
+        assert_only_heap_linked_available(run_sweep(small_cfg(
+            strategies=ALL_STRATEGIES)), "Python.h")
 
     def test_metadata_present(self):
         report = run_sweep(small_cfg())
@@ -137,6 +152,7 @@ class TestRunSweep:
 
 
 class TestRunFixed:
+    @requires_compiler
     def test_fixed_model_and_data(self):
         tree = gen_tree(GenConfig(depth=4, num_features=16, seed=3))
         ens = Ensemble(16, [tree])
@@ -162,6 +178,7 @@ class TestGateAndTimer:
         with pytest.raises(CorrectnessGateError, match="broken"):
             _correctness_gate(ens, [("broken", Broken())], data.matrix)
 
+    @requires_compiler
     def test_gate_passes_real_strategies(self):
         tree = gen_tree(GenConfig(depth=3, num_features=8, seed=5))
         ens = Ensemble(8, [tree])
@@ -170,6 +187,7 @@ class TestGateAndTimer:
         evaluators = [(k, build(ens, k)) for k in FAST]
         _correctness_gate(ens, evaluators, data.matrix)
 
+    @requires_compiler
     def test_timer_resolution_guard(self, monkeypatch):
         tree = gen_tree(GenConfig(depth=2, num_features=4, seed=6))
         ens = Ensemble(4, [tree])
@@ -210,6 +228,7 @@ class TestCoverage:
 
 
 class TestTune:
+    @requires_compiler
     def test_single_batch_size_wins_trivially(self):
         cfg = small_cfg(strategies=(StrategyKind.VPREDICATED,),
                         batch_sizes=(1,))
@@ -230,6 +249,7 @@ class TestTune:
         assert best_batch_sizes(BenchReport(rows, {})) == {(3, 32): 8,
                                                          (5, 32): 1}
 
+    @requires_compiler
     def test_fixed_run_emits_curve(self):
         tree = gen_tree(GenConfig(depth=3, num_features=8, seed=9))
         ens = Ensemble(8, [tree])

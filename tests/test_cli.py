@@ -1,9 +1,11 @@
 """CLI surface: flags, exit codes, and end-to-end pipelines."""
 
+import sysconfig
+
 import numpy as np
 import pytest
 
-from treescore import parse_csv, read_csv, read_fvec
+from treescore import native, parse_csv, read_csv, read_fvec
 from treescore.cli import main
 
 from conftest import requires_compiler
@@ -103,6 +105,7 @@ class TestUsageErrors:
 
 
 class TestBenchAndTune:
+    @requires_compiler
     def test_bench_fixed_pipeline(self, tmp_path, model_path, data_path):
         out = tmp_path / "r.csv"
         code = run(["bench", "--model", str(model_path),
@@ -143,6 +146,7 @@ class TestBenchAndTune:
         captured = capsys.readouterr()
         assert captured.out.splitlines()[-1].startswith("contiguous")
 
+    @requires_compiler
     def test_tune(self, tmp_path, model_path, data_path, capsys):
         out = tmp_path / "tune.csv"
         code = run(["tune", "--model", str(model_path),
@@ -185,6 +189,15 @@ class TestCodegenCommand:
                     str(outdir2), "--compile", "--keep-sources"]) == 0
         assert (outdir2 / "scorer.so").exists()
         assert (outdir2 / "scorer.c").exists()
+
+    def test_compile_without_python_headers_is_env_error(
+            self, tmp_path, model_path, monkeypatch, capsys):
+        monkeypatch.setattr(native, "_LIBRARY", None)
+        paths = dict(sysconfig.get_paths(), include=str(tmp_path))
+        monkeypatch.setattr(sysconfig, "get_paths", lambda *args: paths)
+        assert run(["codegen", "--model", str(model_path), "--out",
+                    str(tmp_path / "gen4"), "--compile"]) == 3
+        assert f"no Python.h in {tmp_path}" in capsys.readouterr().err
 
     def test_compile_without_compiler_is_env_error(self, tmp_path, model_path,
                                                    monkeypatch):

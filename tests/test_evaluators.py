@@ -1,7 +1,9 @@
 """Strategy builds, prediction equivalence, kernels, and tracing."""
 
 import gc
+import re
 import sys
+import sysconfig
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -46,6 +48,7 @@ def all_evaluators(ensemble, batch_sizes=(1, 4, 16)):
 
 
 class TestBuild:
+    @requires_compiler
     def test_single_leaf_all_kinds(self):
         ens = Ensemble(4, [(Tree(Node.leaf(1.5)), 2.0)])
         x = np.zeros(4, dtype=np.float32)
@@ -53,6 +56,7 @@ class TestBuild:
             assert ev.predict(x) == 3.0
             assert ev.predict(np.ones(4, dtype=np.float32)) == 3.0
 
+    @requires_compiler
     def test_depth_boundary_for_predicated(self):
         ens12 = Ensemble(2, [chain_tree(12)])
         build(ens12, StrategyKind.PREDICATED)
@@ -80,11 +84,13 @@ class TestBuild:
         with pytest.raises(ValueError):
             build(ens, "no_such_kind")
 
+    @requires_compiler
     def test_kind_accepts_string_names(self):
         ens = Ensemble(4, [Tree(Node.leaf(1.0))])
         ev = build(ens, "contiguous")
         assert ev.kind is StrategyKind.CONTIGUOUS
 
+    @requires_compiler
     def test_cross_strategy_agreement_random(self):
         rng = np.random.default_rng(100)
         for trial in range(25):
@@ -96,6 +102,7 @@ class TestBuild:
                 assert np.array_equal(ev.predict_batch(X), expected), ev.kind
 
 
+@requires_compiler
 class TestPredict:
     def test_two_single_leaf_trees_sum(self):
         ens = Ensemble(4, [(Tree(Node.leaf(1.0)), 1.0),
@@ -130,6 +137,7 @@ class TestPredict:
             ev.predict_batch(np.zeros((3, 5), dtype=np.float32))
 
 
+@requires_compiler
 class TestPredictBatch:
     def test_empty_input(self):
         ens = Ensemble(4, [Tree(Node.leaf(1.0))])
@@ -233,6 +241,7 @@ class TestPredicationKernel:
             assert [int(v) for v in batch_paths[:, 0]] == scalar_path
 
 
+@requires_compiler
 class TestStorage:
     def test_contiguous_packs_tightly(self):
         rng = np.random.default_rng(17)
@@ -377,6 +386,8 @@ class TestLayoutKernels:
         rng = np.random.default_rng(37)
         ens = random_ensemble(rng, 32, 10, 8)
         evaluators = [build(ens, kind, v) for kind, v in TABLE_BUILDS]
+        evaluators.append(codegen.build_generated(ens))
+        labels = TABLE_BUILDS + ((StrategyKind.GENERATED, None),)
         inputs = [random_matrix(rng, int(rng.integers(1, 400)), 32)
                   for _ in range(8)]
         expected = [reference_batch(ens, X) for X in inputs]
@@ -395,11 +406,118 @@ class TestLayoutKernels:
             sys.setswitchinterval(interval)
         for k, rounds in enumerate(results):
             for scores in rounds:
-                for (kind, v), out in zip(TABLE_BUILDS, scores):
+                for (kind, v), out in zip(labels, scores):
                     assert np.array_equal(out, expected[k]), (kind, v, k)
 
 
+def native_kernels(ens):
+    """The binding of each of the five native strategies, by name."""
+    evaluators = {f"{kind}{v or ''}": build(ens, kind, v)
+                  for kind, v in LINKED_LAYOUTS + ((StrategyKind.PREDICATED, None),
+                                                   (StrategyKind.VPREDICATED, 16))}
+    evaluators["generated"] = codegen.build_generated(ens)
+    return {name: ev._predict_into.__self__ for name, ev in evaluators.items()}
+
+
+def strided(a):
+    """``a`` as a non-contiguous view of the same shape and values."""
+    return np.repeat(a, 2, axis=-1)[..., ::2]
+
+
+def read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@requires_compiler
+class TestBinding:
+    """The array checks the binding makes before any native kernel runs."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        rng = np.random.default_rng(39)
+        ens = random_ensemble(rng, 8, 5, 6)
+        X = random_matrix(rng, 24, 8)
+        return native_kernels(ens), X, reference_batch(ens, X)
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param(lambda X: X.astype(np.float64), id="float64"),
+        pytest.param(strided, id="non-contiguous"),
+        pytest.param(lambda X: X.astype(">f4"), id="byte-swapped"),
+        pytest.param(lambda X: X[:, :-1].copy(), id="wrong-width"),
+        pytest.param(lambda X: X[0].copy(), id="1-d-batch"),
+    ])
+    def test_bad_matrix_raises(self, case, bad):
+        kernels, X, _ = case
+        matrix = bad(X)
+        for kernel in kernels.values():
+            with pytest.raises(ValueError, match="matrix must be"):
+                kernel.score_into(matrix, np.empty(X.shape[0]))
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param(lambda x: x.astype(np.float64), id="float64"),
+        pytest.param(strided, id="non-contiguous"),
+        pytest.param(lambda x: x.astype(">f4"), id="byte-swapped"),
+        pytest.param(lambda x: x[:-1].copy(), id="wrong-width"),
+        pytest.param(lambda x: x[None, :].copy(), id="2-d-row"),
+    ])
+    def test_bad_row_raises(self, case, bad):
+        kernels, X, _ = case
+        x = bad(X[0])
+        for kernel in kernels.values():
+            with pytest.raises(ValueError, match="x must be"):
+                kernel.score_row(x)
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param(lambda n: np.zeros(n, dtype=np.float32), id="float32"),
+        pytest.param(lambda n: np.zeros(n + 1), id="too-long"),
+        pytest.param(lambda n: np.zeros(n - 1), id="too-short"),
+        pytest.param(lambda n: np.zeros((n, 1)), id="2-d"),
+        pytest.param(lambda n: strided(np.zeros(n)), id="non-contiguous"),
+        pytest.param(lambda n: np.zeros(n, dtype=">f8"), id="byte-swapped"),
+        pytest.param(lambda n: read_only(np.zeros(n)), id="read-only"),
+    ])
+    def test_bad_out_raises(self, case, bad):
+        kernels, X, _ = case
+        out = bad(X.shape[0])
+        for name, kernel in kernels.items():
+            with pytest.raises(ValueError, match="out must be"):
+                kernel.score_into(X, out)
+            assert not out.any(), name
+
+    def test_read_only_and_empty_inputs_score(self, case):
+        kernels, X, expected = case
+        X = read_only(X.copy())
+        for name, kernel in kernels.items():
+            out = np.empty(X.shape[0])
+            kernel.score_into(X, out)
+            assert np.array_equal(out, expected), name
+            assert [kernel.score_row(x) for x in X] == list(expected), name
+            kernel.score_into(X[:0], np.empty(0))
+
+    def test_non_buffers_raise_type_error(self, case):
+        kernels, X, _ = case
+        for kernel in kernels.values():
+            with pytest.raises(TypeError):
+                kernel.score_into(X.tolist(), np.empty(X.shape[0]))
+            with pytest.raises(TypeError):
+                kernel.score_row(X[0].tolist())
+            with pytest.raises(TypeError):
+                kernel.score_row()
+
+
 class TestLayoutKernelResources:
+    def test_missing_python_headers_raise_compiler_not_found(
+            self, monkeypatch, tmp_path):
+        monkeypatch.setattr(native, "_LIBRARY", None)
+        paths = dict(sysconfig.get_paths(), include=str(tmp_path))
+        monkeypatch.setattr(sysconfig, "get_paths", lambda *args: paths)
+        with pytest.raises(codegen.CompilerNotFoundError,
+                           match=re.escape(str(tmp_path))):
+            native.load_layout_kernels()
+        with pytest.raises(codegen.CompilerNotFoundError):
+            build(Ensemble(2, [chain_tree(3)]), StrategyKind.CONTIGUOUS)
+
     def test_no_compiler_raises_for_table_strategies(self, monkeypatch):
         monkeypatch.setattr(native, "_LIBRARY", None)
         monkeypatch.setenv("PATH", "")
@@ -412,6 +530,7 @@ class TestLayoutKernelResources:
         heap = build(ens, StrategyKind.HEAP_LINKED)
         assert np.array_equal(heap.predict_batch(X), reference_batch(ens, X))
 
+    @requires_compiler
     def test_failed_build_raises_compilation_error(self, monkeypatch):
         monkeypatch.setattr(native, "_LIBRARY", None)
         monkeypatch.setenv("TREESCORE_CC", "false")

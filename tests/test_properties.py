@@ -1,11 +1,12 @@
-"""Property-based agreement of every strategy but ``generated`` with the reference.
+"""Property-based agreement of every strategy with the reference.
 
 Hypothesis draws random and degenerate ensembles (single leaves, chains up
 to ``MAX_DEPTH``, thresholds drawn from a small pool that the features
 reuse, so ties are common) and batches with NaN, +inf and -inf features,
 the empty batch included.  Every strategy must reproduce
-:func:`reference_batch` bit for bit.  The search is derandomized, so each
-run checks the same examples.
+:func:`reference_batch` bit for bit.  ``generated`` compiles a unit per
+example, so it gets a small budget of random trees only.  The search is
+derandomized, so each run checks the same examples.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from treescore import (
     StrategyKind,
     Tree,
     build,
+    build_generated,
     reference_batch,
 )
 
@@ -63,11 +65,13 @@ def chains(draw, num_features):
 
 
 @st.composite
-def cases(draw):
+def cases(draw, with_chains=True):
     f = draw(st.integers(1, 6))
+    shapes = st.one_of(random_trees(f), chains(f)) if with_chains \
+        else random_trees(f)
     # Negative weights on zero leaves give -0.0 products.
     trees = draw(st.lists(
-        st.tuples(st.one_of(random_trees(f), chains(f)),
+        st.tuples(shapes,
                   st.sampled_from((-1.0, -0.0)) | st.floats(-8.0, 8.0)),
         min_size=1, max_size=5))
     rows = draw(st.integers(0, 24))
@@ -101,3 +105,16 @@ def test_every_strategy_matches_reference_bit_for_bit(case):
         assert np.array_equal(bits(ev.predict_batch(X)), expected), (kind, v)
         rows = [ev.predict(x) for x in X[:3]]
         assert np.array_equal(bits(rows), expected[:3]), (kind, v)
+
+
+@requires_compiler
+@settings(derandomize=True, deadline=None, max_examples=8, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(cases(with_chains=False))
+def test_generated_matches_reference_bit_for_bit(case):
+    ens, X = case
+    expected = bits(reference_batch(ens, X))
+    ev = build_generated(ens)
+    assert np.array_equal(bits(ev.predict_batch(X)), expected)
+    assert np.array_equal(bits([ev.predict(x) for x in X]), expected)
