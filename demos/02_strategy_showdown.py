@@ -21,17 +21,18 @@ ensemble = ts.Ensemble(FEATURES, [(tree, 1.0)])
 data = ts.gen_leaf_uniform_vectors(tree, cfg)
 print(f"workload: depth {DEPTH}, {FEATURES} features, {N} instances")
 
-evaluators = [
-    ts.build(ensemble, "heap_linked"),
-    ts.build(ensemble, "compact_linked"),
-    ts.build(ensemble, "contiguous"),
-    ts.build(ensemble, "predicated"),
-    ts.build(ensemble, "vpredicated", batch_size=64),
-]
-if ts.find_compiler():
-    evaluators.append(ts.build_generated(ensemble))
-else:
-    print("note: no C compiler found, skipping the generated strategy")
+evaluators = [ts.build(ensemble, "heap_linked")]
+try:
+    # The five native strategies need a C compiler and the Python headers.
+    evaluators += [
+        ts.build(ensemble, "compact_linked"),
+        ts.build(ensemble, "contiguous"),
+        ts.build(ensemble, "predicated"),
+        ts.build(ensemble, "vpredicated", batch_size=64),
+        ts.build_generated(ensemble),
+    ]
+except ts.CompilerNotFoundError as exc:
+    print(f"note: {exc}; skipping the native strategies")
 
 reference = ts.reference_batch(ensemble, data.matrix[:1000])
 

@@ -23,7 +23,11 @@ for features in (32, 512):
     print(f"\nf={features}, d={DEPTH}, n={N}:")
     print(f"  {'v':>4} {'mean ns/inst':>14} {'ci95':>8}")
     for row in report.rows:
-        print(f"  {row.batch:>4} {row.mean_ns:>14.1f} {row.ci95_ns:>8.1f}")
-    best = ts.best_batch_sizes(report)[(DEPTH, features)]
-    print(f"  best batch size: {best}  "
-          "(v=1 is exactly the one-instance predicated path)")
+        if row.available:
+            print(f"  {row.batch:>4} {row.mean_ns:>14.1f} {row.ci95_ns:>8.1f}")
+        else:
+            print(f"  {row.batch:>4} unavailable: {row.note}")
+    best = ts.best_batch_sizes(report).get((DEPTH, features))
+    if best is not None:
+        print(f"  best batch size: {best}  "
+              "(v=1 is exactly the one-instance predicated path)")

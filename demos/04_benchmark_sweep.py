@@ -27,8 +27,11 @@ print(f"\n{'strategy':<14} {'d':>3} {'f':>4} {'v':>4} "
       f"{'mean ns/inst':>13} {'ci95':>7}")
 for row in report.rows:
     batch = row.batch if row.batch is not None else "-"
-    print(f"{row.strategy:<14} {row.depth:>3} {row.features:>4} {batch:>4} "
-          f"{row.mean_ns:>13.1f} {row.ci95_ns:>7.1f}")
+    cell = f"{row.strategy:<14} {row.depth:>3} {row.features:>4} {batch:>4}"
+    if row.available:
+        print(f"{cell} {row.mean_ns:>13.1f} {row.ci95_ns:>7.1f}")
+    else:
+        print(f"{cell} unavailable: {row.note}")
 
 out = "sweep_demo.csv"
 with open(out, "w", encoding="utf-8") as fh:

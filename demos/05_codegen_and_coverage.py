@@ -26,7 +26,7 @@ else:
     unit = ts.compile_and_load(source)
     print(f"compiled with {unit.compiler} {' '.join(unit.flags)}")
     x = data.matrix[0]
-    print(f"unit.score(row 0) = {unit.score(x)}")
+    print(f"unit.kernel.score_row(row 0) = {unit.kernel.score_row(x)}")
 
     generated = ts.build_generated(ensemble)
     vpred = ts.build(ensemble, "vpredicated", batch_size=32)

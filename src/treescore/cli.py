@@ -218,7 +218,7 @@ def _cmd_codegen(args) -> int:
     src_path.write_text(source, encoding="utf-8")
     print(f"wrote {src_path}")
     if args.compile:
-        unit = compile_and_load(source, workdir=outdir, keep_sources=True)
+        unit = compile_and_load(source, workdir=outdir)
         print(f"built {unit.lib_path} with {unit.compiler} "
               f"{' '.join(unit.flags)}")
         if not args.keep_sources:

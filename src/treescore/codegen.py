@@ -16,11 +16,14 @@ strategies.
 ``compile_and_load`` shells out to the host C compiler at full
 optimization (through ``compile_shared_object``, which the native layout
 kernels of :mod:`treescore.native` share), loads the shared object, and
-binds its entry point.  The compiler is discovered on PATH (cc, gcc,
-clang) or overridden with the ``TREESCORE_CC`` environment variable.  When
-no compiler (or no Python C headers, which the binding needs) exists the
-strategy reports itself unavailable; the benchmark harness marks the row
-and carries on instead of failing the run.
+binds its entry point.  :class:`GeneratedEvaluator` is the
+:class:`~treescore.evaluators.NativeEvaluator` over that binding; the
+model lives in machine code, so it stores no table.  The compiler is
+discovered on PATH (cc, gcc, clang) or overridden with the
+``TREESCORE_CC`` environment variable.  When no compiler (or no Python C
+headers, which the binding needs) exists the strategy reports itself
+unavailable; the benchmark harness marks the row and carries on instead of
+failing the run.
 
 Changing a model means regenerating and recompiling, which is exactly the
 flexibility cost this strategy exists to demonstrate.
@@ -39,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import native
-from .evaluators import Evaluator, StrategyKind
+from .evaluators import NativeEvaluator, StrategyKind
 from .model import Ensemble, Node
 
 COMPILER_ENV_VAR = "TREESCORE_CC"
@@ -146,23 +149,21 @@ def emit_source(ensemble: Ensemble) -> str:
 class GeneratedUnit:
     """A compiled and loaded scorer: source text, artifacts, entry point.
 
-    ``score(x)`` and ``score_batch_into(matrix, out)`` are the
-    ``score_row`` and ``score_into`` of the unit's entry point bound
-    through :mod:`treescore.native`, which checks their arrays.  A workdir
-    the unit created (``owns_workdir``) is removed when the unit is
-    collected, or at exit, unless ``keep_sources`` is set.  The loaded library stays
-    mapped for the life of the process.
+    ``kernel`` is the unit's entry point bound through
+    :mod:`treescore.native`; its ``score_row(x)`` and
+    ``score_into(matrix, out)`` check their arrays.  A workdir the unit
+    created (``owns_workdir``) is removed when the unit is collected, or at
+    exit; a workdir it was given stays.  The loaded library stays mapped
+    for the life of the process.
     """
 
     def __init__(self, source_text: str, workdir: Path, lib_path: Path,
-                 compiler: str, flags: tuple, keep_sources: bool,
-                 owns_workdir: bool):
+                 compiler: str, flags: tuple, owns_workdir: bool):
         self.source_text = source_text
         self.workdir = workdir
         self.lib_path = lib_path
         self.compiler = compiler
         self.flags = flags
-        self.keep_sources = keep_sources
         binding = native.load_layout_kernels().Kernel
         try:
             lib = ctypes.CDLL(str(lib_path))
@@ -174,15 +175,13 @@ class GeneratedUnit:
         except (AttributeError, ValueError) as exc:
             raise SymbolResolutionError(
                 f"missing symbol in {lib_path}: {exc}") from exc
-        kernel = binding(entry, 0, num_features, lib)
-        self.score = kernel.score_row
-        self.score_batch_into = kernel.score_into
-        if owns_workdir and not keep_sources:
+        self.kernel = binding(entry, 0, num_features, lib)
+        if owns_workdir:
             weakref.finalize(self, shutil.rmtree, workdir, ignore_errors=True)
 
 
-def _require_compiler(compiler: str | None) -> str:
-    compiler = compiler or find_compiler()
+def _require_compiler() -> str:
+    compiler = find_compiler()
     if compiler is None:
         raise CompilerNotFoundError(
             f"no C compiler found on PATH (install cc/gcc/clang or set "
@@ -192,7 +191,6 @@ def _require_compiler(compiler: str | None) -> str:
 
 
 def compile_shared_object(source: str, workdir: Path, *,
-                          compiler: str | None = None,
                           include_dirs: tuple = ()) -> Path:
     """Write ``source`` to ``workdir/scorer.c`` and build ``scorer.so`` there.
 
@@ -202,7 +200,7 @@ def compile_shared_object(source: str, workdir: Path, *,
     and :class:`CompilationError` (with the compiler's diagnostics) on a
     failed build.
     """
-    compiler = _require_compiler(compiler)
+    compiler = _require_compiler()
     src_path = workdir / "scorer.c"
     lib_path = workdir / "scorer.so"
     src_path.write_text(source, encoding="utf-8")
@@ -220,8 +218,7 @@ def compile_shared_object(source: str, workdir: Path, *,
     return lib_path
 
 
-def compile_and_load(source: str, workdir=None, *, compiler: str | None = None,
-                     keep_sources: bool = False) -> GeneratedUnit:
+def compile_and_load(source: str, workdir=None) -> GeneratedUnit:
     """Compile C ``source`` into a shared object and bind its entry point.
 
     Raises :class:`CompilerNotFoundError` when no compiler is discoverable
@@ -234,39 +231,24 @@ def compile_and_load(source: str, workdir=None, *, compiler: str | None = None,
     # The binding the unit is called through: without it, fail before
     # compiling anything.
     native.load_layout_kernels()
-    compiler = _require_compiler(compiler)
+    compiler = _require_compiler()
     owns_workdir = workdir is None
     workdir = Path(tempfile.mkdtemp(prefix="treescore-gen-")) if owns_workdir \
         else Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    lib_path = compile_shared_object(source, workdir, compiler=compiler)
+    lib_path = compile_shared_object(source, workdir)
     return GeneratedUnit(source, workdir, lib_path, compiler, OPT_FLAGS,
-                         keep_sources, owns_workdir)
+                         owns_workdir)
 
 
-class GeneratedEvaluator(Evaluator):
-    """Evaluator facade over a compiled unit, interchangeable with the rest."""
-
-    kind = StrategyKind.GENERATED
+class GeneratedEvaluator(NativeEvaluator):
+    """The evaluator over a compiled unit, interchangeable with the rest."""
 
     def __init__(self, ensemble: Ensemble, unit: GeneratedUnit):
-        super().__init__(ensemble)
+        super().__init__(StrategyKind.GENERATED, ensemble, unit.kernel, 0)
         self.unit = unit
 
-        # Bound once, so that a call goes straight to the binding.
-        self._predict_row = unit.score
-        self._predict_into = unit.score_batch_into
 
-    @property
-    def stored_node_count(self) -> int:
-        # The model lives in machine code, not node tables.
-        return 0
-
-
-def build_generated(ensemble: Ensemble, workdir=None, *,
-                    compiler: str | None = None,
-                    keep_sources: bool = False) -> GeneratedEvaluator:
+def build_generated(ensemble: Ensemble) -> GeneratedEvaluator:
     """Emit, compile, and wrap ``ensemble`` as a generated evaluator."""
-    unit = compile_and_load(emit_source(ensemble), workdir,
-                            compiler=compiler, keep_sources=keep_sources)
-    return GeneratedEvaluator(ensemble, unit)
+    return GeneratedEvaluator(ensemble, compile_and_load(emit_source(ensemble)))

@@ -34,28 +34,24 @@ The four table strategies (compact_linked, contiguous, predicated and
 vpredicated) score whole ensembles in the native kernels of
 :mod:`treescore.native`, so that their comparisons measure layout,
 branches and lockstep rather than the interpreter; predicated is the
-lockstep kernel with one lane.  Like ``generated`` they need a C
-compiler and the Python headers: without either, :func:`build` raises
+lockstep kernel with one lane.  :mod:`treescore.native` packs their tables
+and binds their kernels; this module wraps each bound kernel, as it wraps
+the entry point of a ``generated`` unit, in one :class:`NativeEvaluator`.
+Like ``generated`` they need a C compiler and the Python headers: without
+either, :func:`build` raises
 :class:`~treescore.codegen.CompilerNotFoundError` for them.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import native
 from .data import Dataset
-from .model import (
-    CompleteTree,
-    Ensemble,
-    Node,
-    expand_to_complete,
-    reference_predict,
-)
+from .model import CompleteTree, Ensemble, Node, reference_predict
 
 
 class StrategyKind(enum.Enum):
@@ -130,13 +126,16 @@ def vpredicated_index_paths(ct: CompleteTree, matrix) -> np.ndarray:
 class Evaluator:
     """A built, immutable prediction strategy derived from an ensemble.
 
-    Subclasses implement ``_predict_row`` (and may override
-    ``_predict_into`` for batch-shaped inner loops).  ``predict`` and
+    Subclasses provide ``_predict_row(x)``, the score of one checked
+    float32 row, ``_predict_into(matrix, out)``, which scores every row of
+    a checked float32 matrix into ``out``, and ``stored_node_count``, the
+    node-table entries or node objects they hold.  ``predict`` and
     ``predict_batch`` are pure and safe to call from multiple threads.
     """
 
     kind: StrategyKind
     batch_size = None
+    stored_node_count: int
 
     def __init__(self, ensemble: Ensemble):
         self.num_features = ensemble.num_features
@@ -166,24 +165,6 @@ class Evaluator:
         out = np.empty(matrix.shape[0])  # float64; no dtype argument to parse
         self._predict_into(matrix, out)
         return out
-
-    @property
-    def stored_node_count(self) -> int:
-        """Total node-table slots/objects held by this evaluator."""
-        raise NotImplementedError
-
-    # -- shared plumbing ------------------------------------------------------
-
-    def _predict_row(self, x) -> float:
-        raise NotImplementedError
-
-    def _predict_into(self, matrix, out) -> None:
-        # Subclasses override with a loop that binds per-tree structures
-        # once per pass instead of once per row; the arithmetic (and hence
-        # the bits) is identical either way.
-        predict_row = self._predict_row
-        for i in range(matrix.shape[0]):
-            out[i] = predict_row(matrix[i])
 
     def __repr__(self):
         return f"{type(self).__name__}(kind={self.kind}, trees={self.num_trees})"
@@ -227,7 +208,7 @@ class HeapLinkedEvaluator(Evaluator):
                                   copy(node.left), copy(node.right))
 
         self._trees = tuple((copy(t.root), w) for t, w in ensemble.trees)
-        self._node_count = sum(t.node_count for t, _ in ensemble.trees)
+        self.stored_node_count = sum(t.node_count for t, _ in ensemble.trees)
 
     def _predict_row(self, x) -> float:
         acc = 0.0
@@ -237,8 +218,12 @@ class HeapLinkedEvaluator(Evaluator):
 
     def _predict_into(self, matrix, out) -> None:
         if len(self._trees) != 1:
-            super()._predict_into(matrix, out)
+            predict_row = self._predict_row
+            for i in range(matrix.shape[0]):
+                out[i] = predict_row(matrix[i])
             return
+        # One tree: its root is bound once per pass instead of once per
+        # row; the arithmetic (and hence the bits) is the same.
         root, weight = self._trees[0]
         evaluate = root.eval
         for i in range(matrix.shape[0]):
@@ -246,168 +231,36 @@ class HeapLinkedEvaluator(Evaluator):
             # scores 0.0, bit for bit.
             out[i] = 0.0 + weight * evaluate(matrix[i])
 
-    @property
-    def stored_node_count(self) -> int:
-        return self._node_count
 
+# -- the native strategies -----------------------------------------------------
 
-# -- the table strategies ------------------------------------------------------
+class NativeEvaluator(Evaluator):
+    """A native kernel bound to its model: every strategy but ``heap_linked``.
 
-def _pack_nodes(ensemble: Ensemble, breadth_first: bool):
-    """Flatten every tree into shared parallel node tables, tree after tree.
-
-    Within a tree, nodes are numbered breadth-first, or depth-first in
-    post-order (left subtree, right subtree, then the node: children
-    before their parent, the order a recursive copy creates them in).
-    Returns lists ``(fids, slots, left, right, roots)``: ``fids[k]`` is the
-    feature id, or -1 for a leaf; ``slots[k]`` the threshold or leaf value;
-    ``left[k]``/``right[k]`` the children's table indices (0 for a leaf);
-    ``roots[t]`` the index of tree ``t``'s root.
-    """
-    fids, slots, left, right, roots = [], [], [], [], []
-    for tree, _ in ensemble.trees:
-        order = []
-        pending = deque([tree.root])
-        take = pending.popleft if breadth_first else pending.pop
-        while pending:
-            node = take()
-            order.append(node)
-            if not node.is_leaf:
-                pending.extend((node.left, node.right))
-        if not breadth_first:
-            # Node, right subtree, left subtree, reversed.
-            order.reverse()
-        index = {id(node): len(fids) + k for k, node in enumerate(order)}
-        roots.append(index[id(tree.root)])
-        for node in order:
-            if node.is_leaf:
-                fids.append(-1)
-                slots.append(node.value)
-                left.append(0)
-                right.append(0)
-            else:
-                fids.append(node.fid)
-                slots.append(node.threshold)
-                left.append(index[id(node.left)])
-                right.append(index[id(node.right)])
-    return fids, slots, left, right, roots
-
-
-class _LayoutEvaluator(Evaluator):
-    """Build and dispatch shared by the four table strategies.
-
-    Subclasses pack their tables (``_pack(ensemble)`` returns the tables
-    and the stored node count) and build a native kernel over them with
-    ``_native_kernel(lib, num_features, tables, weights)``, which scores
-    rows and batches.  Building raises
-    :class:`~treescore.codegen.CompilerNotFoundError` without a compiler
-    or the Python headers.
+    ``kernel`` is a binding of :mod:`treescore.native`; its ``score_row``
+    and ``score_into`` become ``_predict_row`` and ``_predict_into``, so a
+    call goes straight from ``predict``/``predict_batch`` to the binding,
+    which checks the arrays again in C.  ``stored_node_count`` is the
+    number of table entries the kernel's model stores.
     """
 
-    # Every table strategy runs natively.  The attribute stays because the
-    # benchmark in ``perfbench/`` reads ``.native`` on every run.
+    # A constant, kept because the benchmark in ``perfbench/`` reads it on
+    # every run.
     native = True
 
-    def __init__(self, ensemble: Ensemble):
+    def __init__(self, kind: StrategyKind, ensemble: Ensemble, kernel,
+                 stored_node_count: int, batch_size: int | None = None):
         super().__init__(ensemble)
-        tables, self._node_count = self._pack(ensemble)
-        weights = [w for _, w in ensemble.trees]
-        kernel = self._native_kernel(native.load_layout_kernels(),
-                                     self.num_features, tables, weights)
-        # Bound once, so that a call goes straight to the binding.
+        self.kind = kind
+        self.batch_size = batch_size
+        self.stored_node_count = stored_node_count
         self._predict_row = kernel.score_row
         self._predict_into = kernel.score_into
-
-    @property
-    def stored_node_count(self) -> int:
-        return self._node_count
-
-
-class _LinkedLayoutEvaluator(_LayoutEvaluator):
-    """``compact_linked`` and ``contiguous``: one slot per logical node."""
-
-    _breadth_first: bool
-
-    def _pack(self, ensemble: Ensemble):
-        tables = _pack_nodes(ensemble, self._breadth_first)
-        return tables, len(tables[0])
-
-
-class CompactLinkedEvaluator(_LinkedLayoutEvaluator):
-    """One record per node, individually ``malloc``'d and pointer-chased.
-
-    The records are allocated in depth-first post-order.
-    """
-
-    kind = StrategyKind.COMPACT_LINKED
-    _breadth_first = False
-    _native_kernel = staticmethod(native.compact_kernel)
-
-
-class ContiguousEvaluator(_LinkedLayoutEvaluator):
-    """Breadth-first packed node tables with explicit child indices.
-
-    Unbalanced trees stay tightly packed: the tables hold exactly one slot
-    per actual node, no dummy entries.  Each slot stores the feature id
-    (-1 for a leaf), the threshold or leaf value, and the child indices.
-    All trees share one set of tables.
-    """
-
-    kind = StrategyKind.CONTIGUOUS
-    _breadth_first = True
-    _native_kernel = staticmethod(native.contiguous_kernel)
-
-
-# -- predicated ------------------------------------------------------------------
-
-class PredicatedEvaluator(_LayoutEvaluator):
-    """Branch-free complete-table traversal, one instance at a time.
-
-    This is the lockstep kernel with one lane.
-    """
-
-    kind = StrategyKind.PREDICATED
-
-    def _pack(self, ensemble: Ensemble):
-        tables = tuple(expand_to_complete(tree) for tree, _ in ensemble.trees)
-        return tables, sum(ct.table_entries for ct in tables)
-
-    def _native_kernel(self, lib, num_features, tables, weights):
-        return native.predicated_kernel(lib, num_features, tables, weights,
-                                        self.batch_size or 1)
-
-
-# -- vpredicated -------------------------------------------------------------------
-
-class VPredicatedEvaluator(PredicatedEvaluator):
-    """Lockstep predication over batches of ``batch_size`` instances.
-
-    All ``v`` cursors of a batch advance one tree level per step; a short
-    last batch simply has fewer lanes.  Interleaving is per tree, so
-    ensembles of mixed depths are handled tree-locally.
-    """
-
-    kind = StrategyKind.VPREDICATED
-
-    def __init__(self, ensemble: Ensemble, batch_size: int):
-        batch_size = int(batch_size)
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.batch_size = batch_size  # before the base builds the kernel
-        super().__init__(ensemble)
 
 
 # ---------------------------------------------------------------------------
 # Builder
 # ---------------------------------------------------------------------------
-
-_BUILDERS = {
-    StrategyKind.HEAP_LINKED: HeapLinkedEvaluator,
-    StrategyKind.COMPACT_LINKED: CompactLinkedEvaluator,
-    StrategyKind.CONTIGUOUS: ContiguousEvaluator,
-    StrategyKind.PREDICATED: PredicatedEvaluator,
-}
-
 
 def build(ensemble: Ensemble, kind, batch_size: int | None = None) -> Evaluator:
     """Build an evaluator of the given kind from an ensemble.
@@ -428,10 +281,15 @@ def build(ensemble: Ensemble, kind, batch_size: int | None = None) -> Evaluator:
     if kind is StrategyKind.VPREDICATED:
         if batch_size is None:
             raise ValueError("vpredicated requires a batch_size (v >= 1)")
-        return VPredicatedEvaluator(ensemble, batch_size)
-    if batch_size is not None:
+        batch_size = int(batch_size)
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    elif batch_size is not None:
         raise ValueError(f"batch_size does not apply to {kind.value}")
-    return _BUILDERS[kind](ensemble)
+    if kind is StrategyKind.HEAP_LINKED:
+        return HeapLinkedEvaluator(ensemble)
+    kernel, entries = native.layout_kernel(ensemble, kind.value, batch_size or 1)
+    return NativeEvaluator(kind, ensemble, kernel, entries, batch_size)
 
 
 # ---------------------------------------------------------------------------

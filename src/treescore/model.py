@@ -39,13 +39,16 @@ import numpy as np
 
 # Complete-tree strategies reject trees deeper than this: dummy-node
 # expansion costs 2^(d+1)-1 table entries per tree (65,535 internal slots at
-# depth 16).  Linked strategies have no such limit.
+# depth 16).  compact_linked, contiguous and generated have no depth limit;
+# heap_linked recurses once per level, so it raises RecursionError past
+# about 1,000 levels (the interpreter's recursion limit).
 MAX_DEPTH = 16
 
-# Dummy nodes inserted by expand_to_complete().  theta=+inf always routes
-# left under the >= comparison, and makes dummies identifiable in dumps;
-# correctness does not depend on the routing because every leaf below a
-# dummy carries the same value.
+# Dummy nodes inserted by expand_to_complete().  theta=+inf makes dummies
+# identifiable in dumps.  Under the split rule (left iff x < theta) it
+# routes finite features left, and NaN and +inf right; correctness does
+# not depend on the routing because every leaf below a dummy carries the
+# same value.
 DUMMY_FID = 0
 DUMMY_THETA = math.inf
 

@@ -1,5 +1,5 @@
-"""Native kernels for the four table strategies, and the CPython binding
-every native strategy is called through.
+"""Native kernels for the four table strategies, the tables they walk, and
+the CPython binding every native strategy is called through.
 
 One fixed C source holds the kernels of ``compact_linked``, ``contiguous``
 and the predicated pair, and a small CPython extension, ``Kernel``, in the
@@ -10,6 +10,10 @@ Like ``generated``, the four strategies need a C compiler and the Python
 headers: without either, :func:`load_layout_kernels` raises
 :class:`~treescore.codegen.CompilerNotFoundError`, and so does building
 any of them.
+
+This module owns every table format.  :func:`layout_kernel` packs an
+ensemble into the tables of one strategy and binds its kernel to them;
+:mod:`treescore.evaluators` wraps the result and knows no format.
 
 Each kernel scores a whole ensemble in one call.  Per row it walks every
 tree in order, goes left iff ``x[fid] < threshold`` (ties, NaN and +inf
@@ -27,12 +31,13 @@ compact_linked
     tree after tree, and chased by pointer.  The records are freed when
     the kernel object that owns them is collected.
 predicated and vpredicated
-    The complete tables of every tree, concatenated: int32 feature ids and
-    float32 thresholds of the internal nodes, float32 leaves.  Rows go in
-    blocks of ``v`` lanes (``v = 1`` for ``predicated``); per tree every
-    lane starts at index 0 and, one level at a time, every lane applies
-    ``i = (i << 1) + 2 - (x[fid[i]] < theta[i])``.  A short last block
-    simply has fewer lanes.
+    The complete tables of every tree (see
+    :func:`~treescore.model.expand_to_complete`), concatenated: int32
+    feature ids and float32 thresholds of the internal nodes, float32
+    leaves.  Rows go in blocks of ``v`` lanes (``v = 1`` for
+    ``predicated``); per tree every lane starts at index 0 and, one level
+    at a time, every lane applies ``i = (i << 1) + 2 - (x[fid[i]] <
+    theta[i])``.  A short last block simply has fewer lanes.
 
 Every kernel, the entry point of a ``generated`` unit included, has the
 signature ``int score(const void *model, const float *x, int64_t n,
@@ -56,9 +61,12 @@ import sysconfig
 import tempfile
 import threading
 import weakref
+from collections import deque
 from pathlib import Path
 
 import numpy as np
+
+from .model import Ensemble, expand_to_complete
 
 _SOURCE = r"""
 #define PY_SSIZE_T_CLEAN
@@ -473,7 +481,7 @@ def function_address(function) -> int:
     return ctypes.cast(function, ctypes.c_void_p).value
 
 
-def _bind(lib, score, num_features: int, tables, weights, v: int = 1):
+def _bind(lib, score, num_features: int, tables, weights, v: int):
     """``score`` bound to a model over ``tables``, the arrays of
     ``model.table`` in order."""
     weights = np.array(weights, dtype=np.float64)
@@ -483,42 +491,75 @@ def _bind(lib, score, num_features: int, tables, weights, v: int = 1):
                       num_features, (model, tables, weights))
 
 
-def _node_arrays(tables):
-    fids, slots, left, right, _ = tables
-    return (np.array(fids, dtype=np.int32), np.array(slots, dtype=np.float32),
-            np.array(left, dtype=np.int32), np.array(right, dtype=np.int32))
+def _pack_nodes(ensemble: Ensemble, breadth_first: bool):
+    """Flatten every tree into shared parallel node tables, tree after tree.
 
-
-def contiguous_kernel(lib, num_features: int, tables, weights):
-    """Native scorer over breadth-first node tables (see ``_pack_nodes``)."""
-    arrays = (*_node_arrays(tables), np.array(tables[4], dtype=np.int32))
-    return _bind(lib, lib.contiguous_score, num_features, arrays, weights)
+    Within a tree, nodes are numbered breadth-first, or depth-first in
+    post-order (left subtree, right subtree, then the node: children
+    before their parent, the order a recursive copy creates them in).
+    Returns the arrays ``(fids, values, left, right, roots)``: int32
+    ``fids[k]``, the feature id or -1 for a leaf; float32 ``values[k]``,
+    the threshold or leaf value; int32 ``left[k]``/``right[k]``, the
+    children's table indices (0 for a leaf); int32 ``roots[t]``, the index
+    of tree ``t``'s root.
+    """
+    fids, values, left, right, roots = [], [], [], [], []
+    for tree, _ in ensemble.trees:
+        order = []
+        pending = deque([tree.root])
+        take = pending.popleft if breadth_first else pending.pop
+        while pending:
+            node = take()
+            order.append(node)
+            if not node.is_leaf:
+                pending.extend((node.left, node.right))
+        if not breadth_first:
+            # Node, right subtree, left subtree, reversed.
+            order.reverse()
+        index = {id(node): len(fids) + k for k, node in enumerate(order)}
+        roots.append(index[id(tree.root)])
+        for node in order:
+            if node.is_leaf:
+                fids.append(-1)
+                values.append(node.value)
+                left.append(0)
+                right.append(0)
+            else:
+                fids.append(node.fid)
+                values.append(node.threshold)
+                left.append(index[id(node.left)])
+                right.append(index[id(node.right)])
+    return (np.array(fids, dtype=np.int32), np.array(values, dtype=np.float32),
+            np.array(left, dtype=np.int32), np.array(right, dtype=np.int32),
+            np.array(roots, dtype=np.int32))
 
 
 def _free_records(lib, nodes: np.ndarray) -> None:
     lib.compact_free(nodes.ctypes.data, nodes.shape[0])
 
 
-def compact_kernel(lib, num_features: int, tables, weights):
-    """Native scorer over per-node ``malloc``'d records.
+def _compact_roots(lib, fids, values, left, right, roots) -> np.ndarray:
+    """The root record of each tree, over one ``malloc``'d record per entry
+    of depth-first node tables, allocated in table order.
 
-    ``tables`` are depth-first node tables (see ``_pack_nodes``); one
-    record is allocated per entry, in table order.
+    The records are freed when the returned array is collected.
     """
-    fids, slots, left, right = _node_arrays(tables)
     nodes = np.zeros(fids.shape[0], dtype=np.uintp)
-    if lib.compact_build(fids.ctypes.data, slots.ctypes.data, left.ctypes.data,
+    if lib.compact_build(fids.ctypes.data, values.ctypes.data, left.ctypes.data,
                          right.ctypes.data, fids.shape[0], nodes.ctypes.data):
         raise MemoryError("out of memory allocating compact_linked node records")
-    roots = nodes[tables[4]]
-    kernel = _bind(lib, lib.compact_score, num_features, (roots,), weights)
-    # Only the kernel holds ``roots``, so the records go with the kernel.
-    weakref.finalize(roots, _free_records, lib, nodes)
-    return kernel
+    root_records = nodes[roots]
+    weakref.finalize(root_records, _free_records, lib, nodes)
+    return root_records
 
 
-def predicated_kernel(lib, num_features: int, tables, weights, v: int):
-    """Native lockstep scorer over ``CompleteTree`` tables, ``v`` rows at a time."""
+def _complete_tables(ensemble: Ensemble):
+    """The complete tables of every tree, concatenated, and their entry count.
+
+    Raises :class:`~treescore.model.DepthLimitError` for trees deeper than
+    :data:`~treescore.model.MAX_DEPTH`.
+    """
+    tables = [expand_to_complete(tree) for tree, _ in ensemble.trees]
     depths = np.array([ct.depth for ct in tables], dtype=np.int32)
     arrays = (
         np.concatenate([ct.fids for ct in tables]),
@@ -528,4 +569,33 @@ def predicated_kernel(lib, num_features: int, tables, weights, v: int):
         np.concatenate([[0], np.cumsum(1 << depths[:-1])]).astype(np.int64),
         depths,
     )
-    return _bind(lib, lib.predicated_score, num_features, arrays, weights, v)
+    return arrays, sum(ct.table_entries for ct in tables)
+
+
+def layout_kernel(ensemble: Ensemble, layout: str, v: int = 1):
+    """The kernel of table strategy ``layout`` bound to ``ensemble``.
+
+    ``layout`` is ``compact_linked``, ``contiguous``, ``predicated`` or
+    ``vpredicated``; ``v`` is the lanes per block of the predicated kernel.
+    Returns ``(kernel, entries)``, with the number of table entries the
+    kernel's model stores.  Raises what :func:`load_layout_kernels` raises,
+    and :class:`~treescore.model.DepthLimitError` for a predicated layout
+    over a tree deeper than :data:`~treescore.model.MAX_DEPTH`.
+    """
+    if layout in ("predicated", "vpredicated"):
+        tables, entries = _complete_tables(ensemble)
+        lib = load_layout_kernels()
+        score = lib.predicated_score
+    elif layout in ("compact_linked", "contiguous"):
+        tables = _pack_nodes(ensemble, breadth_first=layout == "contiguous")
+        entries = tables[0].shape[0]
+        lib = load_layout_kernels()
+        if layout == "contiguous":
+            score = lib.contiguous_score
+        else:
+            tables = (_compact_roots(lib, *tables),)
+            score = lib.compact_score
+    else:
+        raise ValueError(f"no table layout named {layout!r}")
+    weights = [w for _, w in ensemble.trees]
+    return _bind(lib, score, ensemble.num_features, tables, weights, v), entries

@@ -83,6 +83,8 @@ class TestBuild:
             build(ens, StrategyKind.VPREDICATED, 0)
         with pytest.raises(ValueError):
             build(ens, "no_such_kind")
+        with pytest.raises(ValueError, match="no table layout"):
+            native.layout_kernel(ens, "heap_linked")
 
     @requires_compiler
     def test_kind_accepts_string_names(self):
@@ -504,6 +506,23 @@ class TestBinding:
                 kernel.score_row(X[0].tolist())
             with pytest.raises(TypeError):
                 kernel.score_row()
+
+
+@requires_compiler
+def test_native_evaluators_call_the_binding_directly():
+    rng = np.random.default_rng(40)
+    ens = random_ensemble(rng, 8, 4, 5)
+    builds = [((kind, v), build(ens, kind, v)) for kind, v in TABLE_BUILDS]
+    builds.append(((StrategyKind.GENERATED, None), codegen.build_generated(ens)))
+    binding = native.load_layout_kernels().Kernel
+    for (kind, v), ev in builds:
+        # No Python layer between predict/predict_batch and the binding.
+        kernel = ev._predict_into.__self__
+        assert type(kernel) is binding, kind
+        assert ev._predict_row.__self__ is kernel, kind
+        assert ev.kind is kind
+        assert ev.batch_size == v, kind
+        assert ev.native is True, kind
 
 
 class TestLayoutKernelResources:
