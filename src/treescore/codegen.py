@@ -17,8 +17,10 @@ strategies.
 optimization (through ``compile_shared_object``, which the native layout
 kernels of :mod:`treescore.native` share), loads the shared object, and
 binds its entry point.  :class:`GeneratedEvaluator` is the
-:class:`~treescore.evaluators.NativeEvaluator` over that binding; the
-model lives in machine code, so it stores no table.  The compiler is
+:class:`~treescore.evaluators.NativeEvaluator` over that binding, so its
+``predict`` and ``predict_batch`` are the binding's own and a request runs
+no Python code unless its input needs coercing; the model lives in machine
+code, so it stores no table.  The compiler is
 discovered on PATH (cc, gcc, clang) or overridden with the
 ``TREESCORE_CC`` environment variable.  When no compiler (or no Python C
 headers, which the binding needs) exists the strategy reports itself
@@ -138,6 +140,7 @@ def emit_source(ensemble: Ensemble) -> str:
     lines.append(f"int {ENTRY_SYMBOL}(const void *model, const float *x, "
                  "int64_t n, double *out) {")
     lines.append("    int64_t i;")
+    lines.append("    (void) model;")
     lines.append("    for (i = 0; i < n; i++) {")
     lines.append(f"        out[i] = score_ensemble(x + i * {f});")
     lines.append("    }")
@@ -150,8 +153,10 @@ class GeneratedUnit:
     """A compiled and loaded scorer: source text, artifacts, entry point.
 
     ``kernel`` is the unit's entry point bound through
-    :mod:`treescore.native`; its ``score_row(x)`` and
-    ``score_into(matrix, out)`` check their arrays.  A workdir the unit
+    :mod:`treescore.native`: ``predict(x)`` and ``predict_batch(data)``
+    take what an evaluator takes, and ``score_row(x)`` and
+    ``score_into(matrix, out)`` only arrays that are already right.  A
+    workdir the unit
     created (``owns_workdir``) is removed when the unit is collected, or at
     exit; a workdir it was given stays.  The loaded library stays mapped
     for the life of the process.

@@ -47,7 +47,9 @@ class Dataset:
         m = np.ascontiguousarray(matrix, dtype=np.float32)
         if m.ndim != 2:
             raise ValueError(f"dataset must be 2-D, got shape {m.shape}")
-        if not np.isfinite(m).all():
+        # min and max are NaN or infinite iff some value is, and unlike
+        # isfinite they allocate nothing the size of the matrix.
+        if m.size and not (np.isfinite(m.min()) and np.isfinite(m.max())):
             raise ValueError("dataset contains non-finite values")
         self.matrix = m
 

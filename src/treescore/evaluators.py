@@ -50,7 +50,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import native
-from .data import Dataset
 from .model import CompleteTree, Ensemble, Node, reference_predict
 
 
@@ -130,7 +129,10 @@ class Evaluator:
     float32 row, ``_predict_into(matrix, out)``, which scores every row of
     a checked float32 matrix into ``out``, and ``stored_node_count``, the
     node-table entries or node objects they hold.  ``predict`` and
-    ``predict_batch`` are pure and safe to call from multiple threads.
+    ``predict_batch`` check and coerce their input with
+    :func:`treescore.native.as_rows`; :class:`NativeEvaluator` replaces
+    them with the binding's own, which do the same in C.  Both are pure
+    and safe to call from multiple threads.
     """
 
     kind: StrategyKind
@@ -143,26 +145,12 @@ class Evaluator:
 
     # -- public API ---------------------------------------------------------
 
-    # The coercion and checks are inline: a call is the fixed cost of every
-    # request, and a helper call would add to it.
-
     def predict(self, x) -> float:
-        x = np.ascontiguousarray(x, dtype=np.float32)
-        if x.ndim != 1 or x.shape[0] != self.num_features:
-            raise ValueError(
-                f"feature vector has shape {x.shape}, expected ({self.num_features},)"
-            )
-        return self._predict_row(x)
+        return self._predict_row(native.as_rows(x, self.num_features, 1))
 
     def predict_batch(self, data) -> np.ndarray:
-        matrix = data.matrix if isinstance(data, Dataset) else (
-            np.ascontiguousarray(data, dtype=np.float32))
-        if matrix.ndim != 2 or matrix.shape[1] != self.num_features:
-            raise ValueError(
-                f"dataset has shape {matrix.shape}, expected "
-                f"(n, {self.num_features})"
-            )
-        out = np.empty(matrix.shape[0])  # float64; no dtype argument to parse
+        matrix = native.as_rows(data, self.num_features, 2)
+        out = np.empty(matrix.shape[0])
         self._predict_into(matrix, out)
         return out
 
@@ -237,11 +225,14 @@ class HeapLinkedEvaluator(Evaluator):
 class NativeEvaluator(Evaluator):
     """A native kernel bound to its model: every strategy but ``heap_linked``.
 
-    ``kernel`` is a binding of :mod:`treescore.native`; its ``score_row``
-    and ``score_into`` become ``_predict_row`` and ``_predict_into``, so a
-    call goes straight from ``predict``/``predict_batch`` to the binding,
-    which checks the arrays again in C.  ``stored_node_count`` is the
-    number of table entries the kernel's model stores.
+    ``kernel`` is a binding of :mod:`treescore.native`.  Its ``predict``
+    and ``predict_batch`` are this evaluator's, so a request runs no Python
+    frame: the binding checks the input, scores it and allocates the
+    output in C, and hands any input it cannot score as it is to
+    :func:`treescore.native.as_rows`.  Its ``score_row`` and
+    ``score_into`` become ``_predict_row`` and ``_predict_into``.
+    ``stored_node_count`` is the number of table entries the kernel's
+    model stores.
     """
 
     # A constant, kept because the benchmark in ``perfbench/`` reads it on
@@ -254,6 +245,8 @@ class NativeEvaluator(Evaluator):
         self.kind = kind
         self.batch_size = batch_size
         self.stored_node_count = stored_node_count
+        self.predict = kernel.predict
+        self.predict_batch = kernel.predict_batch
         self._predict_row = kernel.score_row
         self._predict_into = kernel.score_into
 

@@ -43,13 +43,22 @@ Every kernel, the entry point of a ``generated`` unit included, has the
 signature ``int score(const void *model, const float *x, int64_t n,
 double *out)`` and returns nonzero when it ran out of memory, having
 written nothing.  ``Kernel(score, model, num_features, owner)`` binds one
-to its model (both given as addresses) once per evaluator; its
-``score_into(matrix, out)`` and ``score_row(x)`` check their arrays in C
-through the buffer protocol (C-contiguous, native-order float32 rows of
-``num_features``, a writable float64 ``out`` of one score per row; anything
-else raises ``ValueError``), release the GIL around the kernel and return
-the score as a Python float.  ``owner`` is kept alive with the binding and
-must hold everything the model points to.
+to its model (both given as addresses) once per evaluator.  ``owner`` is
+kept alive with the binding and must hold everything the model points to.
+Every method checks its arrays in C through the buffer protocol and
+releases the GIL around the kernel:
+
+``predict(x)`` and ``predict_batch(data)``
+    The public calls of every native evaluator, served from C: a C-contiguous,
+    native-order float32 row (or matrix of rows) of ``num_features`` is
+    scored as it is, and ``predict_batch`` allocates its float64 scores by
+    calling ``numpy.empty``.  Any other input goes through :func:`as_rows`,
+    the coercion and checks of ``Evaluator.predict``/``predict_batch``, so
+    it gives the same scores and raises the same errors.
+``score_row(x)`` and ``score_into(matrix, out)``
+    The bare kernel on arrays that are already right (C-contiguous,
+    native-order float32 rows of ``num_features``, a writable float64
+    ``out`` of one score per row); anything else raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -66,6 +75,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import Dataset
 from .model import Ensemble, expand_to_complete
 
 _SOURCE = r"""
@@ -267,6 +277,34 @@ static int get_view(PyObject *obj, Py_buffer *view, char code,
     return 1;
 }
 
+/* Scores the n rows of view x into out with the GIL released, then
+   releases x.  Returns -1 (MemoryError set) if the kernel ran out of
+   memory. */
+static int score_view(Kernel *self, Py_buffer *x, Py_ssize_t n, double *out)
+{
+    int status = 0;
+    if (n > 0) {
+        Py_BEGIN_ALLOW_THREADS
+        status = self->score(self->model, x->buf, n, out);
+        Py_END_ALLOW_THREADS
+    }
+    PyBuffer_Release(x);
+    if (status) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    return 0;
+}
+
+/* The score of the one row in view x, which it releases. */
+static PyObject *score_one(Kernel *self, Py_buffer *x)
+{
+    double score;
+    if (score_view(self, x, 1, &score) < 0)
+        return NULL;
+    return PyFloat_FromDouble(score);
+}
+
 static PyObject *kernel_score_into(Kernel *self, PyObject *const *args,
                                    Py_ssize_t nargs)
 {
@@ -292,16 +330,10 @@ static PyObject *kernel_score_into(Kernel *self, PyObject *const *args,
         return PyErr_Format(PyExc_ValueError, "out must be a writable "
                             "C-contiguous float64 array of shape (%zd,)", n);
     }
-    int status = 0;
-    if (n > 0) {
-        Py_BEGIN_ALLOW_THREADS
-        status = self->score(self->model, x.buf, n, out.buf);
-        Py_END_ALLOW_THREADS
-    }
+    const int failed = score_view(self, &x, n, out.buf);
     PyBuffer_Release(&out);
-    PyBuffer_Release(&x);
-    if (status)
-        return PyErr_NoMemory();
+    if (failed)
+        return NULL;
     Py_RETURN_NONE;
 }
 
@@ -309,8 +341,6 @@ static PyObject *kernel_score_row(Kernel *self, PyObject *const *args,
                                   Py_ssize_t nargs)
 {
     Py_buffer x;
-    double score;
-    int status;
     if (nargs != 1)
         return PyErr_Format(PyExc_TypeError,
                             "score_row() takes 1 argument (%zd given)", nargs);
@@ -321,13 +351,74 @@ static PyObject *kernel_score_row(Kernel *self, PyObject *const *args,
         return PyErr_Format(PyExc_ValueError, "x must be a C-contiguous "
                             "float32 array of shape (%zd,)", self->f);
     }
-    Py_BEGIN_ALLOW_THREADS
-    status = self->score(self->model, x.buf, 1, &score);
-    Py_END_ALLOW_THREADS
-    PyBuffer_Release(&x);
-    if (status)
-        return PyErr_NoMemory();
-    return PyFloat_FromDouble(score);
+    return score_one(self, &x);
+}
+
+/* The Python helper that coerces and checks any input the fast path of
+   predict and predict_batch does not take, and numpy.empty, which
+   allocates the scores of predict_batch.  Set once by setup(). */
+static PyObject *as_rows, *empty;
+
+/* Takes a view of obj as the rows a kernel reads: one row (ndim 1) or a
+   matrix of rows (ndim 2) of C-contiguous native-order float32.  An input
+   that is not such an array already goes through as_rows(obj, f, ndim),
+   which converts it or raises.  Returns 0 holding the view, or -1 with an
+   exception set. */
+static int rows_view(Kernel *self, PyObject *obj, int ndim, Py_buffer *view)
+{
+    int status = get_view(obj, view, 'f', 4, ndim, self->f);
+    if (status == 0)
+        return 0;
+    if (status < 0)
+        PyErr_Clear();          /* as_rows says what is wrong with obj */
+    PyObject *rows = PyObject_CallFunction(as_rows, "Oni", obj, self->f, ndim);
+    if (rows == NULL)
+        return -1;
+    status = get_view(rows, view, 'f', 4, ndim, self->f);
+    Py_DECREF(rows);            /* a view holds its exporter */
+    if (status > 0)
+        PyErr_SetString(PyExc_ValueError, "as_rows() returned an array "
+                        "that is not C-contiguous float32 rows");
+    return status ? -1 : 0;
+}
+
+static PyObject *kernel_predict(Kernel *self, PyObject *const *args,
+                                Py_ssize_t nargs)
+{
+    Py_buffer x;
+    if (nargs != 1)
+        return PyErr_Format(PyExc_TypeError,
+                            "predict() takes 1 argument (%zd given)", nargs);
+    if (rows_view(self, args[0], 1, &x) < 0)
+        return NULL;
+    return score_one(self, &x);
+}
+
+static PyObject *kernel_predict_batch(Kernel *self, PyObject *const *args,
+                                      Py_ssize_t nargs)
+{
+    Py_buffer x, out;
+    if (nargs != 1)
+        return PyErr_Format(PyExc_TypeError,
+                            "predict_batch() takes 1 argument (%zd given)", nargs);
+    if (rows_view(self, args[0], 2, &x) < 0)
+        return NULL;
+    const Py_ssize_t n = x.shape[0];
+    PyObject *count = PyLong_FromSsize_t(n);
+    PyObject *scores = count ? PyObject_CallOneArg(empty, count) : NULL;
+    Py_XDECREF(count);
+    if (scores == NULL || PyObject_GetBuffer(scores, &out, PyBUF_WRITABLE) < 0) {
+        Py_XDECREF(scores);
+        PyBuffer_Release(&x);
+        return NULL;
+    }
+    const int failed = score_view(self, &x, n, out.buf);
+    PyBuffer_Release(&out);
+    if (failed) {
+        Py_DECREF(scores);
+        return NULL;
+    }
+    return scores;
 }
 
 static PyObject *kernel_new(PyTypeObject *type, PyObject *args,
@@ -347,6 +438,10 @@ static PyObject *kernel_new(PyTypeObject *type, PyObject *args,
     if (fn == NULL || f < 0) {
         PyErr_SetString(PyExc_ValueError,
                         "need a kernel address and num_features >= 0");
+        return NULL;
+    }
+    if (as_rows == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "setup() has not been called");
         return NULL;
     }
     Kernel *self = (Kernel *) type->tp_alloc(type, 0);
@@ -374,6 +469,12 @@ static PyMethodDef kernel_methods[] = {
     {"score_row", (PyCFunction) (void (*)(void)) kernel_score_row,
      METH_FASTCALL, "score_row(x)\n--\n\n"
      "The score of one float32 vector of num_features values."},
+    {"predict", (PyCFunction) (void (*)(void)) kernel_predict,
+     METH_FASTCALL, "predict(x)\n--\n\n"
+     "The score of one feature vector, as Evaluator.predict."},
+    {"predict_batch", (PyCFunction) (void (*)(void)) kernel_predict_batch,
+     METH_FASTCALL, "predict_batch(data)\n--\n\n"
+     "A float64 array of the score of every row, as Evaluator.predict_batch."},
     {NULL, NULL, 0, NULL}
 };
 
@@ -391,8 +492,28 @@ static PyType_Spec kernel_spec = {
     kernel_slots
 };
 
+static PyObject *module_setup(PyObject *module, PyObject *const *args,
+                              Py_ssize_t nargs)
+{
+    (void) module;
+    if (nargs != 2)
+        return PyErr_Format(PyExc_TypeError,
+                            "setup() takes 2 arguments (%zd given)", nargs);
+    Py_XSETREF(as_rows, Py_NewRef(args[0]));
+    Py_XSETREF(empty, Py_NewRef(args[1]));
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef module_methods[] = {
+    {"setup", (PyCFunction) (void (*)(void)) module_setup, METH_FASTCALL,
+     "setup(as_rows, empty)\n--\n\n"
+     "The input coercion and the output allocator of predict and "
+     "predict_batch."},
+    {NULL, NULL, 0, NULL}
+};
+
 static struct PyModuleDef kernels_module = {
-    PyModuleDef_HEAD_INIT, "_treescore_kernels", NULL, -1, NULL,
+    PyModuleDef_HEAD_INIT, "_treescore_kernels", NULL, -1, module_methods,
     NULL, NULL, NULL, NULL
 };
 
@@ -414,6 +535,30 @@ PyMODINIT_FUNC PyInit__treescore_kernels(void)
 
 # The module name the binding's init function is named after.
 _MODULE = "_treescore_kernels"
+
+
+def as_rows(data, num_features: int, ndim: int) -> np.ndarray:
+    """``data`` as the C-contiguous float32 array a kernel reads.
+
+    ``ndim`` 1 asks for one row of ``num_features`` values, ``ndim`` 2 for
+    a matrix of such rows (a :class:`~treescore.data.Dataset` gives its
+    matrix).  Raises ``ValueError`` for any other shape, and what numpy
+    raises for what it cannot convert.  ``Evaluator.predict`` and
+    ``predict_batch`` call it, and so does the binding for any input it
+    cannot score as it is.
+    """
+    if ndim == 1:
+        x = np.ascontiguousarray(data, dtype=np.float32)
+        if x.ndim != 1 or x.shape[0] != num_features:
+            raise ValueError(
+                f"feature vector has shape {x.shape}, expected ({num_features},)")
+        return x
+    matrix = data.matrix if isinstance(data, Dataset) else (
+        np.ascontiguousarray(data, dtype=np.float32))
+    if matrix.ndim != 2 or matrix.shape[1] != num_features:
+        raise ValueError(
+            f"dataset has shape {matrix.shape}, expected (n, {num_features})")
+    return matrix
 
 
 class _Model(ctypes.Structure):
@@ -454,6 +599,7 @@ def _build_library(codegen) -> ctypes.CDLL:
     lib.compact_build.argtypes = [ptr] * 4 + [i64, ptr]
     lib.compact_free.restype = None
     lib.compact_free.argtypes = [ptr, i64]
+    binding.setup(as_rows, np.empty)
     lib.Kernel = binding.Kernel
     return lib
 

@@ -36,6 +36,9 @@ MIN_SPLIT_WIDTH = 2.0 ** -20
 _TREE_STREAM = 0
 _DATA_STREAM = 1
 
+# Values per block of float64 draws for a domain other than [0, 1).
+_DRAW_BLOCK = 1 << 14
+
 
 class GenerationError(Exception):
     """Generator invariant violated (e.g. a leaf with contradictory bounds)."""
@@ -226,11 +229,16 @@ def gen_leaf_uniform_vectors(tree: Tree, cfg: GenConfig,
     if cfg.domain == (0.0, 1.0):
         matrix = rng.random((n, f), dtype=np.float32)
     else:
-        raw = lo0 + (hi0 - lo0) * rng.random((n, f))
-        matrix = raw.astype(np.float32)
-        np.maximum(matrix, np.float32(lo0), out=matrix)
+        matrix = np.empty((n, f), dtype=np.float32)
         top = np.nextafter(np.float32(hi0), np.float32(lo0))
-        matrix[matrix >= hi0] = top
+        # Drawn a block of rows at a time, so the float64 draws never take
+        # more memory than one block; the stream is the same.
+        step = max(1, _DRAW_BLOCK // f)
+        for start in range(0, n, step):
+            block = matrix[start:start + step]
+            block[...] = lo0 + (hi0 - lo0) * rng.random(block.shape)
+            np.maximum(block, np.float32(lo0), out=block)
+            block[block >= hi0] = top
 
     assigned = np.arange(n, dtype=np.int64) % num_leaves
     for ordinal, bounds in enumerate(constraints):
@@ -244,9 +252,13 @@ def gen_leaf_uniform_vectors(tree: Tree, cfg: GenConfig,
             vals[vals >= hi] = np.nextafter(np.float32(hi), np.float32(lo))
             matrix[rows, fid] = vals
 
-    perm = rng.permutation(n)
-    matrix = matrix[perm]
-    assigned = assigned[perm]
+    # In place, so the matrix is never copied: shuffle draws the permutation
+    # that permutation(n) draws, and the generator is rewound to draw it
+    # again for the assignments.
+    state = rng.bit_generator.state
+    rng.shuffle(matrix)
+    rng.bit_generator.state = state
+    rng.shuffle(assigned)
     dataset = Dataset(matrix)
     if with_assignments:
         return dataset, assigned

@@ -1,10 +1,13 @@
 """C emission, compilation, loading, and differential equivalence."""
 
 import gc
+import subprocess
+import sysconfig
 
 import numpy as np
 import pytest
 
+from treescore import native
 from treescore import (
     Ensemble,
     Node,
@@ -17,6 +20,7 @@ from treescore import (
 )
 from treescore.codegen import (
     MAX_INDENT,
+    OPT_FLAGS,
     CompilationError,
     CompilerNotFoundError,
     SymbolResolutionError,
@@ -25,6 +29,22 @@ from treescore.codegen import (
 )
 
 from conftest import chain_tree, random_ensemble, random_matrix, requires_compiler
+
+
+@requires_compiler
+@pytest.mark.parametrize("unit", ["layout-kernels", "generated"])
+def test_sources_compile_without_warnings(tmp_path, unit):
+    if unit == "layout-kernels":
+        source = native._SOURCE
+    else:
+        source = emit_source(random_ensemble(np.random.default_rng(9), 8, 3, 4))
+    path = tmp_path / "unit.c"
+    path.write_text(source, encoding="utf-8")
+    cmd = [find_compiler(), *OPT_FLAGS, "-Wall", "-Wextra", "-Werror", "-fPIC",
+           f"-I{sysconfig.get_paths()['include']}", "-c", "-o",
+           str(tmp_path / "unit.o"), str(path)]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestEmission:

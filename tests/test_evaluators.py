@@ -4,6 +4,7 @@ import gc
 import re
 import sys
 import sysconfig
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -25,7 +26,7 @@ from treescore import (
     reference_predict,
     vpredicated_index_paths,
 )
-from treescore import codegen, native
+from treescore import Dataset, codegen, native
 from treescore.synth import GenConfig, gen_leaf_uniform_vectors, gen_tree
 
 from conftest import (
@@ -412,13 +413,19 @@ class TestLayoutKernels:
                     assert np.array_equal(out, expected[k]), (kind, v, k)
 
 
+def native_evaluators(ens):
+    """One evaluator of each of the five native strategies, by name."""
+    evaluators = {str(kind): build(ens, kind, v) for kind, v in (
+        LINKED_LAYOUTS + ((StrategyKind.PREDICATED, None),
+                          (StrategyKind.VPREDICATED, 16)))}
+    evaluators["generated"] = codegen.build_generated(ens)
+    return evaluators
+
+
 def native_kernels(ens):
     """The binding of each of the five native strategies, by name."""
-    evaluators = {f"{kind}{v or ''}": build(ens, kind, v)
-                  for kind, v in LINKED_LAYOUTS + ((StrategyKind.PREDICATED, None),
-                                                   (StrategyKind.VPREDICATED, 16))}
-    evaluators["generated"] = codegen.build_generated(ens)
-    return {name: ev._predict_into.__self__ for name, ev in evaluators.items()}
+    return {name: ev._predict_into.__self__
+            for name, ev in native_evaluators(ens).items()}
 
 
 def strided(a):
@@ -520,9 +527,126 @@ def test_native_evaluators_call_the_binding_directly():
         kernel = ev._predict_into.__self__
         assert type(kernel) is binding, kind
         assert ev._predict_row.__self__ is kernel, kind
+        assert ev.predict.__self__ is kernel, kind
+        assert ev.predict_batch.__self__ is kernel, kind
         assert ev.kind is kind
         assert ev.batch_size == v, kind
         assert ev.native is True, kind
+
+
+def outcome(call, arg):
+    """What ``call(arg)`` gives: its type and bytes, or the type and text
+    of what it raises."""
+    try:
+        result = call(arg)
+    except Exception as exc:  # every outcome is compared, errors included
+        return type(exc), str(exc)
+    return type(result), np.asarray(result).dtype, np.asarray(result).tobytes()
+
+
+ROW_INPUTS = {
+    "float32": lambda X: X[0],
+    "float64": lambda X: X[0].astype(np.float64),
+    "fortran-order": lambda X: np.asfortranarray(X)[0],
+    "strided": lambda X: strided(X[0]),
+    "byte-swapped": lambda X: X[0].astype(">f4"),
+    "read-only": lambda X: read_only(X[0].copy()),
+    "list": lambda X: X[0].tolist(),
+    "dataset": lambda X: Dataset(X[:1]),
+    "empty": lambda X: X[0, :0],
+    "wrong-width": lambda X: X[0, :-1],
+    "wrong-ndim": lambda X: X[:1],
+    "scalar": lambda X: X[0, 0],
+    "non-buffer": lambda X: object(),
+}
+BATCH_INPUTS = {
+    "float32": lambda X: X,
+    "float64": lambda X: X.astype(np.float64),
+    "fortran-order": np.asfortranarray,
+    "strided": strided,
+    "byte-swapped": lambda X: X.astype(">f4"),
+    "read-only": lambda X: read_only(X.copy()),
+    "list": lambda X: X.tolist(),
+    "dataset": Dataset,
+    "0-rows": lambda X: X[:0],
+    "wrong-width": lambda X: X[:, :-1],
+    "wrong-ndim": lambda X: X[None],
+    "1-d": lambda X: X[0],
+    "non-buffer": lambda X: object(),
+}
+
+
+@requires_compiler
+class TestNativeRequests:
+    """``predict`` and ``predict_batch`` of the binding against the Python
+    path of ``heap_linked``: the same bits, or the same error."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        rng = np.random.default_rng(41)
+        ens = random_ensemble(rng, 8, 6, 6)
+        X = random_matrix(rng, 13, 8)
+        return ens, X, build(ens, StrategyKind.HEAP_LINKED), native_evaluators(ens)
+
+    @pytest.mark.parametrize("name", ROW_INPUTS)
+    def test_predict(self, case, name):
+        ens, X, heap, evaluators = case
+        x = ROW_INPUTS[name](X)
+        expected = outcome(heap.predict, x)
+        for kind, ev in evaluators.items():
+            assert outcome(ev.predict, x) == expected, kind
+        if name in ("float32", "float64", "fortran-order", "strided",
+                    "byte-swapped", "read-only", "list"):
+            assert expected == outcome(float, reference_predict(ens, X[0]))
+
+    @pytest.mark.parametrize("name", BATCH_INPUTS)
+    def test_predict_batch(self, case, name):
+        ens, X, heap, evaluators = case
+        data = BATCH_INPUTS[name](X)
+        expected = outcome(heap.predict_batch, data)
+        for kind, ev in evaluators.items():
+            assert outcome(ev.predict_batch, data) == expected, kind
+        if name in ("float32", "float64", "fortran-order", "strided",
+                    "byte-swapped", "read-only", "list", "dataset"):
+            assert expected == outcome(np.asarray, reference_batch(ens, X))
+        if name == "0-rows":
+            assert expected == outcome(np.asarray, np.empty(0))
+
+    def test_arguments_are_counted(self, case):
+        _, X, _, evaluators = case
+        for ev in evaluators.values():
+            with pytest.raises(TypeError):
+                ev.predict()
+            with pytest.raises(TypeError):
+                ev.predict_batch(X, X)
+
+    def test_freed_on_del_without_the_cycle_collector(self, case, monkeypatch):
+        ens, X, _, _ = case
+        freed = []
+        release = native._free_records
+
+        def spy(lib, nodes):
+            freed.append(nodes.shape[0])
+            release(lib, nodes)
+
+        monkeypatch.setattr(native, "_free_records", spy)
+        gc.collect()
+        gc.disable()
+        try:
+            evaluators = native_evaluators(ens)
+            for kind in list(evaluators):
+                ev = evaluators.pop(kind)
+                # Both paths of both calls, the Python coercion included.
+                ev.predict(X[0])
+                ev.predict(X[0].tolist())
+                ev.predict_batch(X)
+                ev.predict_batch(X.tolist())
+                alive = weakref.ref(ev)
+                del ev
+                assert alive() is None, kind
+        finally:
+            gc.enable()
+        assert freed == [sum(t.node_count for t, _ in ens.trees)]
 
 
 class TestLayoutKernelResources:

@@ -1,9 +1,12 @@
 """Random tree construction and leaf-uniform vector generation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from treescore import Ensemble, Node, Tree, serialize_model, traverse_to_leaf
+from treescore import synth
 from treescore.synth import (
     GenConfig,
     GenerationError,
@@ -98,6 +101,40 @@ class TestGenTree:
         assert serialize_model(ens) == serialize_model(again)
 
 
+def copying_leaf_uniform_vectors(tree: Tree, cfg: GenConfig):
+    """Leaf-uniform rows and assignments drawn in one piece and shuffled by
+    a copy through ``permutation(n)``: the formula the generator must
+    reproduce byte for byte."""
+    rng = np.random.default_rng([cfg.seed, synth._DATA_STREAM])
+    n, f = cfg.num_vectors, cfg.num_features
+    constraints = synth._leaf_constraints(tree, cfg.domain)
+    lo0, hi0 = synth._f32(cfg.domain[0]), synth._f32(cfg.domain[1])
+    if cfg.domain == (0.0, 1.0):
+        matrix = rng.random((n, f), dtype=np.float32)
+    else:
+        matrix = (lo0 + (hi0 - lo0) * rng.random((n, f))).astype(np.float32)
+        np.maximum(matrix, np.float32(lo0), out=matrix)
+        matrix[matrix >= hi0] = np.nextafter(np.float32(hi0), np.float32(lo0))
+    assigned = np.arange(n, dtype=np.int64) % len(constraints)
+    for ordinal, bounds in enumerate(constraints):
+        rows = np.arange(ordinal, n, len(constraints))
+        if rows.size == 0:
+            continue
+        for fid in sorted(bounds):
+            lo, hi = bounds[fid]
+            vals = (lo + (hi - lo) * rng.random(rows.size)).astype(np.float32)
+            np.maximum(vals, np.float32(lo), out=vals)
+            vals[vals >= hi] = np.nextafter(np.float32(hi), np.float32(lo))
+            matrix[rows, fid] = vals
+    perm = rng.permutation(n)
+    return matrix[perm], assigned[perm]
+
+
+DOMAINS = [pytest.param((0.0, 1.0), id="unit"),
+           pytest.param((-2.0, 2.5), id="scaled"),
+           pytest.param((0.1, 0.7), id="inexact")]
+
+
 class TestLeafUniformVectors:
     def test_depth_one_exact_split(self):
         cfg = GenConfig(depth=1, num_features=4, seed=2, num_vectors=1000)
@@ -169,3 +206,29 @@ class TestLeafUniformVectors:
         for i in range(ds.count):
             leaf = traverse_to_leaf(tree.root, ds.matrix[i])
             assert tree.leaf_ordinal(leaf) == assigned[i]
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    @pytest.mark.parametrize("seed, depth, f, n", [
+        (0, 3, 8, 0), (1, 0, 5, 1), (7, 4, 16, 2500), (12, 5, 3, 12001)])
+    def test_in_place_shuffle_matches_copying_shuffle(self, domain, seed,
+                                                      depth, f, n):
+        cfg = GenConfig(depth=depth, num_features=f, seed=seed, num_vectors=n,
+                        domain=domain)
+        tree = gen_tree(cfg)
+        ds, assigned = gen_leaf_uniform_vectors(tree, cfg, with_assignments=True)
+        matrix, expected = copying_leaf_uniform_vectors(tree, cfg)
+        assert ds.matrix.tobytes() == matrix.tobytes()
+        assert np.array_equal(assigned, expected)
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_peak_memory_is_about_one_matrix(self, domain):
+        cfg = GenConfig(depth=4, num_features=64, seed=3, num_vectors=20_000,
+                        domain=domain)
+        tree = gen_tree(cfg)
+        tracemalloc.start()
+        try:
+            ds = gen_leaf_uniform_vectors(tree, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * ds.matrix.nbytes, peak / ds.matrix.nbytes
