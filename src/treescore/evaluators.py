@@ -23,7 +23,8 @@ predicated
     Complete-table traversal with the branch-free index update
     ``i = (i << 1) + 2 - (x[fid[i]] < theta[i])`` applied ``d`` times,
     one instance at a time.  Requires dummy-node expansion, so depth is
-    capped at :data:`~treescore.model.MAX_DEPTH`.
+    capped at :data:`~treescore.model.MAX_DEPTH`; feature ids are packed
+    as uint16, so they are capped at :data:`~treescore.model.MAX_TABLE_FID`.
 vpredicated
     The same index update applied to ``v`` instances in lockstep, one tree
     level per step.  ``v=1`` reduces to the predicated path.  Batch
@@ -232,7 +233,8 @@ class NativeEvaluator(Evaluator):
     :func:`treescore.native.as_rows`.  Its ``score_row`` and
     ``score_into`` become ``_predict_row`` and ``_predict_into``.
     ``stored_node_count`` is the number of table entries the kernel's
-    model stores.
+    model stores, and ``table_bytes`` the bytes of every array it points
+    to (0 for ``generated``, whose model is machine code).
     """
 
     # A constant, kept because the benchmark in ``perfbench/`` reads it on
@@ -240,11 +242,13 @@ class NativeEvaluator(Evaluator):
     native = True
 
     def __init__(self, kind: StrategyKind, ensemble: Ensemble, kernel,
-                 stored_node_count: int, batch_size: int | None = None):
+                 stored_node_count: int, batch_size: int | None = None,
+                 table_bytes: int = 0):
         super().__init__(ensemble)
         self.kind = kind
         self.batch_size = batch_size
         self.stored_node_count = stored_node_count
+        self.table_bytes = table_bytes
         self.predict = kernel.predict
         self.predict_batch = kernel.predict_batch
         self._predict_row = kernel.score_row
@@ -264,7 +268,10 @@ def build(ensemble: Ensemble, kind, batch_size: int | None = None) -> Evaluator:
     compiler or the Python headers.  ``generated`` evaluators are built by
     :func:`treescore.codegen.build_generated`.
     Predicated kinds raise :class:`~treescore.model.DepthLimitError` for
-    trees deeper than :data:`~treescore.model.MAX_DEPTH`.
+    trees deeper than :data:`~treescore.model.MAX_DEPTH`, and
+    :class:`~treescore.model.FeatureLimitError` for trees that split on a
+    feature id above :data:`~treescore.model.MAX_TABLE_FID` (their tables
+    hold uint16 ids).
     """
     kind = StrategyKind(kind)
     if kind is StrategyKind.GENERATED:
@@ -281,8 +288,10 @@ def build(ensemble: Ensemble, kind, batch_size: int | None = None) -> Evaluator:
         raise ValueError(f"batch_size does not apply to {kind.value}")
     if kind is StrategyKind.HEAP_LINKED:
         return HeapLinkedEvaluator(ensemble)
-    kernel, entries = native.layout_kernel(ensemble, kind.value, batch_size or 1)
-    return NativeEvaluator(kind, ensemble, kernel, entries, batch_size)
+    kernel, entries, table_bytes = native.layout_kernel(
+        ensemble, kind.value, batch_size or 1)
+    return NativeEvaluator(kind, ensemble, kernel, entries, batch_size,
+                           table_bytes)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,11 @@ import numpy as np
 # about 1,000 levels (the interpreter's recursion limit).
 MAX_DEPTH = 16
 
+# Complete-tree strategies pack feature ids as uint16, so they reject
+# trees that split on a feature id above this.  Every other strategy, and
+# CompleteTree itself, keeps int32 ids.
+MAX_TABLE_FID = 65_535
+
 # Dummy nodes inserted by expand_to_complete().  theta=+inf makes dummies
 # identifiable in dumps.  Under the split rule (left iff x < theta) it
 # routes finite features left, and NaN and +inf right; correctness does
@@ -72,6 +77,10 @@ class ModelSemanticError(ModelError):
 
 class DepthLimitError(ModelError):
     """Tree too deep for a complete-table (predicated) layout."""
+
+
+class FeatureLimitError(ModelError):
+    """Feature id too large for a complete-table (predicated) layout."""
 
 
 def _f32(x) -> float:
@@ -285,6 +294,8 @@ class CompleteTree:
     ``i in [0, 2^d - 1)``; the children of ``i`` sit at ``2i+1`` and
     ``2i+2``.  ``leaf_values[j]`` holds leaf ``j``, which corresponds to
     traversal index ``(2^d - 1) + j``.  Arrays are frozen after build.
+    ``fids`` are int32 here; the predicated strategies pack them as uint16
+    (see :data:`MAX_TABLE_FID`).
     """
 
     __slots__ = ("depth", "fids", "thetas", "leaf_values", "weight")
@@ -322,33 +333,37 @@ def expand_to_complete(tree: Tree) -> CompleteTree:
     inserted internal nodes carry ``fid=0, theta=+inf`` and every descendant
     leaf repeats the original leaf value, so predictions are unchanged for
     every input.  Raises :class:`DepthLimitError` above :data:`MAX_DEPTH`.
+    The feature ids stay int32; the predicated strategies narrow them to
+    uint16 when they pack the tables (see :data:`MAX_TABLE_FID`).
     """
     d = tree.depth
     if d > MAX_DEPTH:
         raise DepthLimitError(
             f"tree depth {d} exceeds MAX_DEPTH={MAX_DEPTH} for complete-table layouts"
         )
-    n_internal = (1 << d) - 1
-    fids = np.zeros(n_internal, dtype=np.int32)
-    thetas = np.empty(n_internal, dtype=np.float32)
-    leaves = np.empty(1 << d, dtype=np.float32)
-
-    def fill(node: Node, slot: int):
-        if slot >= n_internal:
-            leaves[slot - n_internal] = node.value
-            return
-        if node.is_leaf:
-            fids[slot] = DUMMY_FID
-            thetas[slot] = DUMMY_THETA
-            fill(node, 2 * slot + 1)
-            fill(node, 2 * slot + 2)
+    # Every internal slot starts as a dummy, and each logical node is
+    # visited once.  A split fills its own slot.  A leaf at level L (slot
+    # s + 1 has L + 1 bits) and slot s owns the 2^(d-L) bottom entries from s*2^(d-L) + 2^(d-L) - 1 on
+    # (minus the 2^d - 1 internal slots); visited left to right, the leaves
+    # own consecutive runs that tile the bottom level.
+    fids = np.full((1 << d) - 1, DUMMY_FID, dtype=np.int32)
+    thetas = np.full((1 << d) - 1, DUMMY_THETA, dtype=np.float32)
+    slots, split_fids, split_thetas, values, spans = [], [], [], [], []
+    stack = [(tree.root, 0)]
+    while stack:
+        node, slot = stack.pop()
+        if node.left is None:
+            values.append(node.value)
+            spans.append(1 << (d + 1 - (slot + 1).bit_length()))
         else:
-            fids[slot] = node.fid
-            thetas[slot] = node.threshold
-            fill(node.left, 2 * slot + 1)
-            fill(node.right, 2 * slot + 2)
-
-    fill(tree.root, 0)
+            slots.append(slot)
+            split_fids.append(node.fid)
+            split_thetas.append(node.threshold)
+            stack.append((node.right, 2 * slot + 2))
+            stack.append((node.left, 2 * slot + 1))
+    fids[slots] = split_fids
+    thetas[slots] = split_thetas
+    leaves = np.repeat(np.array(values, dtype=np.float32), spans)
     return CompleteTree(d, fids, thetas, leaves)
 
 

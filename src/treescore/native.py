@@ -32,12 +32,19 @@ compact_linked
     the kernel object that owns them is collected.
 predicated and vpredicated
     The complete tables of every tree (see
-    :func:`~treescore.model.expand_to_complete`), concatenated: int32
+    :func:`~treescore.model.expand_to_complete`), concatenated: uint16
     feature ids and float32 thresholds of the internal nodes, float32
-    leaves.  Rows go in blocks of ``v`` lanes (``v = 1`` for
-    ``predicated``); per tree every lane starts at index 0 and, one level
-    at a time, every lane applies ``i = (i << 1) + 2 - (x[fid[i]] <
-    theta[i])``.  A short last block simply has fewer lanes.
+    leaves, so an internal entry takes 6 bytes.  A tree that splits on a
+    feature id above :data:`~treescore.model.MAX_TABLE_FID` is refused with
+    :class:`~treescore.model.FeatureLimitError` before anything is packed.
+    Rows go in blocks of ``v`` lanes (``v = 1`` for ``predicated``); per
+    tree every lane starts at index 0 and, one level at a time, every lane
+    applies ``i = (i << 1) + 2 - (x[fid[i]] < theta[i])``.  A short last
+    block simply has fewer lanes.
+
+The dtype of every array a kernel reads is fixed per layout
+(:data:`TABLE_DTYPES`, the ``table:`` comments of the C source), and
+binding a kernel to an array of any other dtype raises ``TypeError``.
 
 Every kernel, the entry point of a ``generated`` unit included, has the
 signature ``int score(const void *model, const float *x, int64_t n,
@@ -76,7 +83,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .model import Ensemble, expand_to_complete
+from .model import MAX_TABLE_FID, Ensemble, FeatureLimitError, expand_to_complete
 
 _SOURCE = r"""
 #define PY_SSIZE_T_CLEAN
@@ -90,6 +97,9 @@ typedef struct node {
     const struct node *left;
     const struct node *right;
 } node;
+
+/* What a compact_linked record takes, for the footprint Python reports. */
+const size_t node_size = sizeof(node);
 
 /* What a kernel reads besides the rows, bound once per evaluator.
    ``table`` is per kernel (see each). */
@@ -193,13 +203,14 @@ static inline __attribute__((always_inline))
 void predicated_block(const model *m, const float *rows, int64_t b,
                       int64_t *index, double *out)
 {
-    const int32_t *fid = m->table[0], *depth = m->table[5];
+    const uint16_t *fid = m->table[0];
+    const int32_t *depth = m->table[5];
     const float *theta = m->table[1], *leaf = m->table[2];
     const int64_t *nodes = m->table[3], *leaves = m->table[4];
     for (int64_t k = 0; k < b; k++)
         out[k] = 0.0;
     for (int64_t t = 0; t < m->num_trees; t++) {
-        const int32_t *tree_fid = fid + nodes[t];
+        const uint16_t *tree_fid = fid + nodes[t];
         const float *tree_theta = theta + nodes[t];
         const int32_t first_leaf = (1 << depth[t]) - 1;
         const double weight = m->weights[t];
@@ -216,7 +227,7 @@ void predicated_block(const model *m, const float *rows, int64_t b,
     }
 }
 
-/* Lockstep predication, v rows per block.  table: int32 fid and float32
+/* Lockstep predication, v rows per block.  table: uint16 fid and float32
    theta of the internal nodes, float32 leaves, then per tree the int64
    offsets of its internal nodes and of its leaves, and its int32 depth. */
 int predicated_score(const void *bound, const float *x, int64_t n, double *out)
@@ -599,6 +610,7 @@ def _build_library(codegen) -> ctypes.CDLL:
     lib.compact_build.argtypes = [ptr] * 4 + [i64, ptr]
     lib.compact_free.restype = None
     lib.compact_free.argtypes = [ptr, i64]
+    lib.node_size = ctypes.c_size_t.in_dll(lib, "node_size").value
     binding.setup(as_rows, np.empty)
     lib.Kernel = binding.Kernel
     return lib
@@ -627,10 +639,31 @@ def function_address(function) -> int:
     return ctypes.cast(function, ctypes.c_void_p).value
 
 
-def _bind(lib, score, num_features: int, tables, weights, v: int):
+# The dtypes of the arrays of ``model.table``, in order, per layout: the
+# ``table:`` comments of ``_SOURCE``.
+TABLE_DTYPES = {
+    "contiguous": tuple(map(np.dtype, (np.int32, np.float32, np.int32,
+                                       np.int32, np.int32))),
+    "compact_linked": (np.dtype(np.uintp),),
+    "predicated": tuple(map(np.dtype, (np.uint16, np.float32, np.float32,
+                                       np.int64, np.int64, np.int32))),
+}
+TABLE_DTYPES["vpredicated"] = TABLE_DTYPES["predicated"]
+
+
+def _bind(lib, layout: str, score, num_features: int, tables,
+          weights: np.ndarray, v: int):
     """``score`` bound to a model over ``tables``, the arrays of
-    ``model.table`` in order."""
-    weights = np.array(weights, dtype=np.float64)
+    ``model.table`` in order, and float64 ``weights``.
+
+    Raises ``TypeError`` unless the arrays have the dtypes
+    :data:`TABLE_DTYPES` gives ``layout``, which are what the kernel reads.
+    """
+    dtypes = tuple(a.dtype for a in tables)
+    if dtypes != TABLE_DTYPES[layout]:
+        raise TypeError(f"{layout} tables have dtypes {list(map(str, dtypes))}"
+                        ", the kernel reads "
+                        f"{list(map(str, TABLE_DTYPES[layout]))}")
     model = _Model((ctypes.c_void_p * 7)(*(a.ctypes.data for a in tables)),
                    weights.ctypes.data, len(weights), num_features, v)
     return lib.Kernel(function_address(score), ctypes.addressof(model),
@@ -702,13 +735,20 @@ def _compact_roots(lib, fids, values, left, right, roots) -> np.ndarray:
 def _complete_tables(ensemble: Ensemble):
     """The complete tables of every tree, concatenated, and their entry count.
 
-    Raises :class:`~treescore.model.DepthLimitError` for trees deeper than
-    :data:`~treescore.model.MAX_DEPTH`.
+    Raises :class:`~treescore.model.FeatureLimitError` for trees that split
+    on a feature id above :data:`~treescore.model.MAX_TABLE_FID`, which the
+    uint16 ids cannot hold, and :class:`~treescore.model.DepthLimitError`
+    for trees deeper than :data:`~treescore.model.MAX_DEPTH`.
     """
+    max_fid = max(tree.max_fid for tree, _ in ensemble.trees)
+    if max_fid > MAX_TABLE_FID:
+        raise FeatureLimitError(
+            f"feature id {max_fid} exceeds MAX_TABLE_FID={MAX_TABLE_FID} "
+            "for complete-table layouts")
     tables = [expand_to_complete(tree) for tree, _ in ensemble.trees]
     depths = np.array([ct.depth for ct in tables], dtype=np.int32)
     arrays = (
-        np.concatenate([ct.fids for ct in tables]),
+        np.concatenate([ct.fids for ct in tables]).astype(np.uint16),
         np.concatenate([ct.thetas for ct in tables]),
         np.concatenate([ct.leaf_values for ct in tables]),
         np.concatenate([[0], np.cumsum((1 << depths[:-1]) - 1)]).astype(np.int64),
@@ -723,11 +763,17 @@ def layout_kernel(ensemble: Ensemble, layout: str, v: int = 1):
 
     ``layout`` is ``compact_linked``, ``contiguous``, ``predicated`` or
     ``vpredicated``; ``v`` is the lanes per block of the predicated kernel.
-    Returns ``(kernel, entries)``, with the number of table entries the
-    kernel's model stores.  Raises what :func:`load_layout_kernels` raises,
-    and :class:`~treescore.model.DepthLimitError` for a predicated layout
-    over a tree deeper than :data:`~treescore.model.MAX_DEPTH`.
+    Returns ``(kernel, entries, table_bytes)``: the number of table entries
+    the kernel's model stores, and the bytes of every array it points to,
+    the weights included and each ``compact_linked`` record counted at
+    ``sizeof(node)``.  Raises what :func:`load_layout_kernels` raises, and
+    for a predicated layout :class:`~treescore.model.FeatureLimitError`
+    over a tree that splits on a feature id above
+    :data:`~treescore.model.MAX_TABLE_FID` and
+    :class:`~treescore.model.DepthLimitError` over a tree deeper than
+    :data:`~treescore.model.MAX_DEPTH`.
     """
+    records = 0
     if layout in ("predicated", "vpredicated"):
         tables, entries = _complete_tables(ensemble)
         lib = load_layout_kernels()
@@ -741,7 +787,10 @@ def layout_kernel(ensemble: Ensemble, layout: str, v: int = 1):
         else:
             tables = (_compact_roots(lib, *tables),)
             score = lib.compact_score
+            records = entries * lib.node_size
     else:
         raise ValueError(f"no table layout named {layout!r}")
-    weights = [w for _, w in ensemble.trees]
-    return _bind(lib, score, ensemble.num_features, tables, weights, v), entries
+    weights = np.array([w for _, w in ensemble.trees], dtype=np.float64)
+    kernel = _bind(lib, layout, score, ensemble.num_features, tables, weights, v)
+    table_bytes = sum(a.nbytes for a in tables) + weights.nbytes + records
+    return kernel, entries, table_bytes

@@ -12,6 +12,7 @@ import pytest
 import treescore
 from treescore import (
     ALL_STRATEGIES,
+    MAX_TABLE_FID,
     BenchConfig,
     BenchReport,
     BenchRow,
@@ -64,6 +65,16 @@ class TestConfig:
             small_cfg(strategies=(StrategyKind.PREDICATED,), depths=(3, 17))
         # Deep trees are fine for linked strategies.
         small_cfg(strategies=(StrategyKind.CONTIGUOUS,), depths=(3, 17))
+
+    def test_feature_limit(self):
+        # Feature ids up to MAX_TABLE_FID fit the predicated tables.
+        for kind in (StrategyKind.PREDICATED, StrategyKind.VPREDICATED):
+            small_cfg(strategies=(kind,), feature_sizes=(MAX_TABLE_FID + 1,))
+            with pytest.raises(ValueError, match="MAX_TABLE_FID"):
+                small_cfg(strategies=(StrategyKind.CONTIGUOUS, kind),
+                          feature_sizes=(32, MAX_TABLE_FID + 2))
+        small_cfg(strategies=(StrategyKind.CONTIGUOUS,),
+                  feature_sizes=(MAX_TABLE_FID + 2,))
 
     def test_strategy_names_coerced(self):
         cfg = small_cfg(strategies=("contiguous", "predicated"))

@@ -5,7 +5,8 @@ import sysconfig
 import numpy as np
 import pytest
 
-from treescore import native, parse_csv, read_csv, read_fvec
+from treescore import (MAX_TABLE_FID, Dataset, Ensemble, Node, Tree, native,
+                       parse_csv, read_csv, read_fvec, save_model, write_fvec)
 from treescore.cli import main
 
 from conftest import requires_compiler
@@ -157,6 +158,26 @@ class TestBenchAndTune:
         assert "best batch size" in err
         report = parse_csv(out.read_text())
         assert {row.batch for row in report.rows} == {1, 4}
+
+
+    @requires_compiler
+    def test_feature_id_above_the_table_limit_is_a_model_error(
+            self, tmp_path, capsys):
+        # A split on feature id MAX_TABLE_FID + 1: a valid model, which the
+        # predicated tables cannot hold.
+        f = MAX_TABLE_FID + 2
+        model = tmp_path / "wide.tree"
+        save_model(Ensemble(f, [Tree(Node.internal(
+            f - 1, 0.5, Node.leaf(1.0), Node.leaf(2.0)))]), model)
+        data = tmp_path / "wide.fvec"
+        write_fvec(data, Dataset(np.zeros((2, f), dtype=np.float32)))
+        assert run(["validate", str(model)]) == 0
+        for argv in (["bench", "--strategies", "predicated", "--trials", "2"],
+                     ["tune", "--batches", "4"]):
+            capsys.readouterr()
+            assert run(argv + ["--model", str(model), "--data", str(data),
+                               "--out", str(tmp_path / "r.csv")]) == 2
+            assert "MAX_TABLE_FID=65535" in capsys.readouterr().err
 
 
 class TestCoverageCommand:

@@ -12,8 +12,11 @@ import pytest
 
 from treescore import (
     MAX_DEPTH,
+    MAX_TABLE_FID,
     DepthLimitError,
     Ensemble,
+    FeatureLimitError,
+    ModelError,
     Node,
     StrategyKind,
     Tree,
@@ -24,6 +27,7 @@ from treescore import (
     predict_ensemble_traced,
     reference_batch,
     reference_predict,
+    traverse_to_leaf,
     vpredicated_index_paths,
 )
 from treescore import Dataset, codegen, native
@@ -269,6 +273,29 @@ class TestStorage:
         for kind in (StrategyKind.HEAP_LINKED, StrategyKind.COMPACT_LINKED):
             assert build(ens, kind).stored_node_count == tree.node_count
 
+    def test_table_bytes(self):
+        # Two trees, one weight (8 bytes) each: 6 nodes, a depth-2 tree of
+        # 5 with its complete table of 3 internal entries and 4 leaves,
+        # and a single leaf (depth 0: 1 leaf).
+        ens = Ensemble(4, [
+            (Tree(Node.internal(2, 0.5, Node.leaf(1.0), Node.internal(
+                3, 0.25, Node.leaf(2.0), Node.leaf(3.0)))), 0.5),
+            (Tree(Node.leaf(4.0)), 2.0)])
+        weights = 2 * 8
+        # fid, value, left, right (int32 or float32) per node; int32 roots.
+        contiguous = 6 * 4 * 4 + 2 * 4 + weights
+        # A pointer to each root and a 24-byte record per node.
+        compact = 2 * 8 + 6 * 24 + weights
+        # uint16 fid and float32 theta per internal entry, float32 leaves;
+        # per tree two int64 offsets and an int32 depth.
+        complete = 3 * (2 + 4) + 5 * 4 + 2 * (8 + 8 + 4) + weights
+        for kind, v, want in ((StrategyKind.CONTIGUOUS, None, contiguous),
+                              (StrategyKind.COMPACT_LINKED, None, compact),
+                              (StrategyKind.PREDICATED, None, complete),
+                              (StrategyKind.VPREDICATED, 4, complete)):
+            assert build(ens, kind, v).table_bytes == want, kind
+        assert codegen.build_generated(ens).table_bytes == 0
+
 
 LINKED_LAYOUTS = ((StrategyKind.COMPACT_LINKED, None),
                   (StrategyKind.CONTIGUOUS, None))
@@ -369,6 +396,54 @@ class TestLayoutKernels:
         X = rng.random((2 * MAX_DEPTH + 2, 2), dtype=np.float32)
         X[:, 0] = np.arange(2 * MAX_DEPTH + 2) / 64
         assert_layouts_match_reference(ens, X)
+
+    def test_feature_ids_at_the_table_limit(self):
+        # Splits on the two largest ids a uint16 holds and on ids 0 and 1,
+        # in an unbalanced tree, so dummy slots (fid 0) sit among them.
+        f = MAX_TABLE_FID + 1
+        top = MAX_TABLE_FID
+        tree = Tree(Node.internal(
+            top, 0.5,
+            Node.internal(0, 0.25, Node.leaf(-1.0), Node.leaf(-2.0)),
+            Node.internal(top - 1, 0.75, Node.leaf(3.0), Node.internal(
+                top, 2.0, Node.leaf(4.0), Node.leaf(5.0)))))
+        ens = Ensemble(f, [(tree, 1.5), (Tree(Node.internal(
+            1, 0.5, Node.leaf(0.25), Node.leaf(0.5))), -1.0)])
+        rng = np.random.default_rng(39)
+        X = np.zeros((48, f), dtype=np.float32)
+        X[:, :2] = rng.random((48, 2), dtype=np.float32)
+        X[:, top] = np.resize(np.array(
+            [np.nan, np.inf, -np.inf, 0.5, 0.25, 1.0, 2.0, 3.0],
+            dtype=np.float32), 48)
+        X[:, top - 1] = np.resize(np.array([0.5, 0.75, np.nan],
+                                           dtype=np.float32), 48)
+        # The rows reach every leaf of the tree the limit ids decide.
+        assert {traverse_to_leaf(tree.root, x).value for x in X} == {
+            -1.0, -2.0, 3.0, 4.0, 5.0}
+        assert_layouts_match_reference(
+            ens, X, ((StrategyKind.PREDICATED, None),
+                     (StrategyKind.VPREDICATED, 4)))
+
+    def test_feature_id_above_the_table_limit(self, monkeypatch):
+        # A uint16 would wrap id MAX_TABLE_FID + 1 to 0 without an error.
+        f = MAX_TABLE_FID + 2
+        ens = Ensemble(f, [(Tree(Node.leaf(0.5)), 1.0), (Tree(Node.internal(
+            f - 1, 0.5, Node.leaf(1.0), Node.leaf(2.0))), 1.0)])
+
+        def never(tree):
+            raise AssertionError("expanded a tree past the feature limit")
+
+        monkeypatch.setattr(native, "expand_to_complete", never)
+        for kind, v in ((StrategyKind.PREDICATED, None),
+                        (StrategyKind.VPREDICATED, 4)):
+            with pytest.raises(FeatureLimitError,
+                               match=f"feature id {f - 1} exceeds"):
+                build(ens, kind, v)
+        assert issubclass(FeatureLimitError, ModelError)
+        # The other table layouts keep int32 ids.
+        X = np.zeros((2, f), dtype=np.float32)
+        X[:, f - 1] = (0.25, 0.75)
+        assert_layouts_match_reference(ens, X, LINKED_LAYOUTS)
 
     def test_lane_counts_and_remainders(self):
         # The empty batch, and row counts below and above each v (and the
@@ -700,6 +775,22 @@ class TestLayoutKernelResources:
                 build(ens, kind, v)
         assert native.load_layout_kernels() is lib
         assert compiles == []
+
+    @requires_compiler
+    @pytest.mark.parametrize("dtype", [np.int32, np.float64])
+    def test_tables_of_another_dtype_are_refused(self, monkeypatch, dtype):
+        complete_tables = native._complete_tables
+
+        def widened(ensemble):
+            (fids, *rest), entries = complete_tables(ensemble)
+            return (fids.astype(dtype), *rest), entries
+
+        monkeypatch.setattr(native, "_complete_tables", widened)
+        ens = Ensemble(2, [chain_tree(3)])
+        for kind, v in ((StrategyKind.PREDICATED, None),
+                        (StrategyKind.VPREDICATED, 4)):
+            with pytest.raises(TypeError, match="the kernel reads"):
+                build(ens, kind, v)
 
     @requires_compiler
     def test_compact_records_freed_with_evaluator(self, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 
 from treescore import (
     MAX_DEPTH,
+    CompleteTree,
     DepthLimitError,
     Ensemble,
     ModelSemanticError,
@@ -21,6 +22,7 @@ from treescore import (
     traverse_to_leaf,
     tree_stats,
 )
+from treescore.model import DUMMY_FID, DUMMY_THETA
 from treescore.synth import GenConfig, gen_tree
 
 from conftest import random_ensemble, random_unbalanced_tree
@@ -32,6 +34,34 @@ def chain_tree(depth: int, fid: int = 0) -> Tree:
     for level in range(depth):
         node = Node.internal(fid, 0.5 / (level + 2), node, Node.leaf(2.0))
     return Tree(node)
+
+
+def recursive_expansion(tree: Tree) -> CompleteTree:
+    """The complete tree of ``tree``, one recursive visit per table slot:
+    the formula ``expand_to_complete`` must reproduce."""
+    d = tree.depth
+    n_internal = (1 << d) - 1
+    fids = np.zeros(n_internal, dtype=np.int32)
+    thetas = np.empty(n_internal, dtype=np.float32)
+    leaves = np.empty(1 << d, dtype=np.float32)
+
+    def fill(node: Node, slot: int):
+        if slot >= n_internal:
+            leaves[slot - n_internal] = node.value
+            return
+        if node.is_leaf:
+            fids[slot] = DUMMY_FID
+            thetas[slot] = DUMMY_THETA
+            fill(node, 2 * slot + 1)
+            fill(node, 2 * slot + 2)
+        else:
+            fids[slot] = node.fid
+            thetas[slot] = node.threshold
+            fill(node.left, 2 * slot + 1)
+            fill(node.right, 2 * slot + 2)
+
+    fill(tree.root, 0)
+    return CompleteTree(d, fids, thetas, leaves)
 
 
 class TestNodes:
@@ -184,6 +214,22 @@ class TestExpansion:
                 x = rng.random(12, dtype=np.float32)
                 assert float(ct.leaf_values[leaf_index_predicated(ct, x)]) \
                     == traverse_to_leaf(tree.root, x).value
+
+    def test_matches_the_recursive_expansion(self):
+        # Every tree shape the expansion meets: random unbalanced trees,
+        # a single leaf, the deepest chain and a complete depth-11 tree.
+        rng = np.random.default_rng(22)
+        trees = [random_unbalanced_tree(rng, int(rng.integers(1, 9)), 12)
+                 for _ in range(30)]
+        trees += [Tree(Node.leaf(-0.5)), chain_tree(MAX_DEPTH, fid=3),
+                  gen_tree(GenConfig(depth=11, num_features=64, seed=23))]
+        for tree in trees:
+            got, want = expand_to_complete(tree), recursive_expansion(tree)
+            assert got.depth == want.depth == tree.depth
+            assert got.fids.dtype == np.int32
+            assert np.array_equal(got.fids, want.fids)
+            assert got.thetas.tobytes() == want.thetas.tobytes()
+            assert got.leaf_values.tobytes() == want.leaf_values.tobytes()
 
     def test_depth_limit(self):
         expand_to_complete(chain_tree(12))
