@@ -32,7 +32,6 @@ from .model import (
 from .data import (
     DataFormatError,
     Dataset,
-    as_feature_vector,
     read_csv,
     read_fvec,
     write_csv,

@@ -7,8 +7,9 @@ that all of them agree with the reference traversal on a 1,000-instance
 prefix (the correctness gate; timings are never reported for a strategy
 that fails it), then times a number of passes, strategy after strategy.
 Each pass is one optional untimed warmup pass and one timed full pass over
-all instances on the monotonic clock: a single whole-pass clock-read pair
-with preallocated output buffers; per-instance times are elapsed/n.
+all instances on the monotonic clock: a single clock-read pair around one
+``predict_batch`` call over the whole dataset; per-instance times are
+elapsed/n.
 Means and 95% confidence intervals (Student's t over trial means) are
 computed across a row's trials.
 
@@ -17,10 +18,11 @@ dataset per (trial, depth, features), one pass each; :func:`run_fixed`
 feeds it one fixed model and dataset with ``trials`` passes.
 :func:`best_batch_sizes` reads the batch-size winners off any report.
 
-Scores include the weighted ensemble accumulation, and every strategy is
-timed through the same ``_predict_into`` call; the five native ones all go
-through the one CPython binding of :mod:`treescore.native`, with the same
-array checks.  Both facts are recorded in the report metadata.
+Timings include the weighted ensemble accumulation and the allocation of
+the output, because every strategy is timed through the same
+``predict_batch`` call; the five native ones all go through the one
+CPython binding of :mod:`treescore.native`, with the same array checks.
+These facts are recorded in the report metadata.
 
 CSV layout (also parsed back by :func:`parse_csv`)::
 
@@ -203,18 +205,19 @@ def collect_environment() -> dict:
         "compiler_flags": " ".join(OPT_FLAGS),
         "timer_resolution_ns": str(_TIMER_RESOLUTION_NS),
         "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "notes": ("timings include weighted ensemble accumulation; every "
-                  "native strategy is called through the same CPython "
-                  "binding"),
+        "notes": ("timings include weighted ensemble accumulation and "
+                  "output allocation; every strategy is timed through "
+                  "predict_batch, every native one through the same "
+                  "CPython binding"),
     }
 
 
-def _timed_pass(evaluator, matrix, out, warmup: bool) -> int:
+def _timed_pass(evaluator, matrix, warmup: bool) -> int:
     """One whole-pass timing on the monotonic clock; returns elapsed ns."""
     if warmup:
-        evaluator._predict_into(matrix, out)
+        evaluator.predict_batch(matrix)
     t0 = time.perf_counter_ns()
-    evaluator._predict_into(matrix, out)
+    evaluator.predict_batch(matrix)
     elapsed = time.perf_counter_ns() - t0
     if elapsed < 1000 * _TIMER_RESOLUTION_NS:
         raise TimerResolutionError(
@@ -281,10 +284,9 @@ def _run(cells, cfg: BenchConfig, passes: int, progress=None) -> BenchReport:
                 built.append((label, row, evaluator))
         _correctness_gate(ensemble, [(label, evaluator)
                                      for label, _, evaluator in built], matrix)
-        out = np.empty(n, dtype=np.float64)
         for _ in range(passes):
             for label, row, evaluator in built:
-                elapsed = _timed_pass(evaluator, matrix, out, cfg.warmup)
+                elapsed = _timed_pass(evaluator, matrix, cfg.warmup)
                 row.trial_elapsed_ns.append(elapsed)
                 if progress is not None:
                     progress(f"trial {len(row.trial_elapsed_ns) - 1} "
@@ -322,7 +324,11 @@ def run_fixed(ensemble: Ensemble, data: Dataset, strategies=ALL_STRATEGIES,
     The depth/features columns report the model's max depth and feature
     count.  The same correctness gate and timing protocol as
     :func:`run_sweep` apply; trials repeat timing on identical inputs.
+    Raises ``ValueError`` for a dataset without rows, which has no time
+    per instance.
     """
+    if data.count == 0:
+        raise ValueError("the dataset has no rows to time")
     depth = tree_stats(ensemble).max_depth
     features = ensemble.num_features
     # No feature size is checked: what the predicated tables limit is a
@@ -330,7 +336,7 @@ def run_fixed(ensemble: Ensemble, data: Dataset, strategies=ALL_STRATEGIES,
     # evaluators checks them (FeatureLimitError).
     cfg = BenchConfig(strategies=strategies, depths=(depth,),
                       feature_sizes=(), batch_sizes=tuple(batch_sizes),
-                      instances=max(1, data.count), trials=trials, warmup=warmup)
+                      instances=data.count, trials=trials, warmup=warmup)
     return _run([(depth, features, ensemble, data.matrix)], cfg, trials,
                 progress)
 

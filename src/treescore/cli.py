@@ -330,7 +330,7 @@ def main(argv=None) -> int:
         print(f"treescore: error: {exc}", file=sys.stderr)
         return 1
     except (ModelError, DataFormatError, GenerationError, ValueError,
-            OSError) as exc:
+            OSError, bench_mod.TimerResolutionError) as exc:
         print(f"treescore: error: {exc}", file=sys.stderr)
         return 2
     except (CompilerNotFoundError, CompilationError,

@@ -153,13 +153,11 @@ class GeneratedUnit:
     """A compiled and loaded scorer: source text, artifacts, entry point.
 
     ``kernel`` is the unit's entry point bound through
-    :mod:`treescore.native`: ``predict(x)`` and ``predict_batch(data)``
-    take what an evaluator takes, and ``score_row(x)`` and
-    ``score_into(matrix, out)`` only arrays that are already right.  A
-    workdir the unit
-    created (``owns_workdir``) is removed when the unit is collected, or at
-    exit; a workdir it was given stays.  The loaded library stays mapped
-    for the life of the process.
+    :mod:`treescore.native`, whose ``predict(x)`` and
+    ``predict_batch(data)`` take what an evaluator takes.  A workdir the
+    unit created (``owns_workdir``) is removed when the unit is collected,
+    or at exit; a workdir it was given stays.  The loaded library stays
+    mapped for the life of the process.
     """
 
     def __init__(self, source_text: str, workdir: Path, lib_path: Path,

@@ -24,20 +24,6 @@ class DataFormatError(Exception):
     """Malformed FVEC or CSV dataset."""
 
 
-def as_feature_vector(values, num_features: int | None = None) -> np.ndarray:
-    """Coerce to a contiguous finite float32 vector, validating length."""
-    x = np.ascontiguousarray(values, dtype=np.float32)
-    if x.ndim != 1:
-        raise ValueError(f"feature vector must be 1-D, got shape {x.shape}")
-    if num_features is not None and x.shape[0] != num_features:
-        raise ValueError(
-            f"feature vector has length {x.shape[0]}, expected {num_features}"
-        )
-    if not np.isfinite(x).all():
-        raise ValueError("feature vector contains non-finite values")
-    return x
-
-
 class Dataset:
     """An immutable-by-convention packed matrix of feature vectors."""
 

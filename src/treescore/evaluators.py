@@ -126,14 +126,13 @@ def vpredicated_index_paths(ct: CompleteTree, matrix) -> np.ndarray:
 class Evaluator:
     """A built, immutable prediction strategy derived from an ensemble.
 
-    Subclasses provide ``_predict_row(x)``, the score of one checked
-    float32 row, ``_predict_into(matrix, out)``, which scores every row of
-    a checked float32 matrix into ``out``, and ``stored_node_count``, the
-    node-table entries or node objects they hold.  ``predict`` and
-    ``predict_batch`` check and coerce their input with
-    :func:`treescore.native.as_rows`; :class:`NativeEvaluator` replaces
-    them with the binding's own, which do the same in C.  Both are pure
-    and safe to call from multiple threads.
+    Every strategy scores through two calls: ``predict(x)``, the score of
+    one feature vector, and ``predict_batch(data)``, a float64 array of
+    the score of every row.  Both check and coerce their input as
+    :func:`treescore.native.as_rows` does, are pure, and are safe to call
+    from multiple threads.  Subclasses provide them and
+    ``stored_node_count``, the node-table entries or node objects they
+    hold.
     """
 
     kind: StrategyKind
@@ -143,17 +142,6 @@ class Evaluator:
     def __init__(self, ensemble: Ensemble):
         self.num_features = ensemble.num_features
         self.num_trees = len(ensemble.trees)
-
-    # -- public API ---------------------------------------------------------
-
-    def predict(self, x) -> float:
-        return self._predict_row(native.as_rows(x, self.num_features, 1))
-
-    def predict_batch(self, data) -> np.ndarray:
-        matrix = native.as_rows(data, self.num_features, 2)
-        out = np.empty(matrix.shape[0])
-        self._predict_into(matrix, out)
-        return out
 
     def __repr__(self):
         return f"{type(self).__name__}(kind={self.kind}, trees={self.num_trees})"
@@ -199,19 +187,18 @@ class HeapLinkedEvaluator(Evaluator):
         self._trees = tuple((copy(t.root), w) for t, w in ensemble.trees)
         self.stored_node_count = sum(t.node_count for t, _ in ensemble.trees)
 
-    def _predict_row(self, x) -> float:
-        acc = 0.0
-        for root, weight in self._trees:
-            acc += weight * root.eval(x)
-        return acc
+    def predict(self, x) -> float:
+        return self._accumulate(native.as_rows(x, self.num_features, 1))
 
-    def _predict_into(self, matrix, out) -> None:
+    def predict_batch(self, data) -> np.ndarray:
+        matrix = native.as_rows(data, self.num_features, 2)
+        out = np.empty(matrix.shape[0])
         if len(self._trees) != 1:
-            predict_row = self._predict_row
+            accumulate = self._accumulate
             for i in range(matrix.shape[0]):
-                out[i] = predict_row(matrix[i])
-            return
-        # One tree: its root is bound once per pass instead of once per
+                out[i] = accumulate(matrix[i])
+            return out
+        # One tree: its root is bound once per call instead of once per
         # row; the arithmetic (and hence the bits) is the same.
         root, weight = self._trees[0]
         evaluate = root.eval
@@ -219,6 +206,13 @@ class HeapLinkedEvaluator(Evaluator):
             # Added to 0.0 like every accumulation, so a -0.0 product
             # scores 0.0, bit for bit.
             out[i] = 0.0 + weight * evaluate(matrix[i])
+        return out
+
+    def _accumulate(self, x) -> float:
+        acc = 0.0
+        for root, weight in self._trees:
+            acc += weight * root.eval(x)
+        return acc
 
 
 # -- the native strategies -----------------------------------------------------
@@ -230,11 +224,10 @@ class NativeEvaluator(Evaluator):
     and ``predict_batch`` are this evaluator's, so a request runs no Python
     frame: the binding checks the input, scores it and allocates the
     output in C, and hands any input it cannot score as it is to
-    :func:`treescore.native.as_rows`.  Its ``score_row`` and
-    ``score_into`` become ``_predict_row`` and ``_predict_into``.
-    ``stored_node_count`` is the number of table entries the kernel's
-    model stores, and ``table_bytes`` the bytes of every array it points
-    to (0 for ``generated``, whose model is machine code).
+    :func:`treescore.native.as_rows`.  ``stored_node_count`` is the
+    number of table entries the kernel's model stores, and ``table_bytes``
+    the bytes of every array it points to (0 for ``generated``, whose
+    model is machine code).
     """
 
     # A constant, kept because the benchmark in ``perfbench/`` reads it on
@@ -251,8 +244,6 @@ class NativeEvaluator(Evaluator):
         self.table_bytes = table_bytes
         self.predict = kernel.predict
         self.predict_batch = kernel.predict_batch
-        self._predict_row = kernel.score_row
-        self._predict_into = kernel.score_into
 
 
 # ---------------------------------------------------------------------------

@@ -52,20 +52,14 @@ double *out)`` and returns nonzero when it ran out of memory, having
 written nothing.  ``Kernel(score, model, num_features, owner)`` binds one
 to its model (both given as addresses) once per evaluator.  ``owner`` is
 kept alive with the binding and must hold everything the model points to.
-Every method checks its arrays in C through the buffer protocol and
-releases the GIL around the kernel:
-
-``predict(x)`` and ``predict_batch(data)``
-    The public calls of every native evaluator, served from C: a C-contiguous,
-    native-order float32 row (or matrix of rows) of ``num_features`` is
-    scored as it is, and ``predict_batch`` allocates its float64 scores by
-    calling ``numpy.empty``.  Any other input goes through :func:`as_rows`,
-    the coercion and checks of ``Evaluator.predict``/``predict_batch``, so
-    it gives the same scores and raises the same errors.
-``score_row(x)`` and ``score_into(matrix, out)``
-    The bare kernel on arrays that are already right (C-contiguous,
-    native-order float32 rows of ``num_features``, a writable float64
-    ``out`` of one score per row); anything else raises ``ValueError``.
+The binding has two methods, ``predict(x)`` and ``predict_batch(data)``,
+which are the public calls of every native evaluator.  Each checks its
+input in C through the buffer protocol and releases the GIL around the
+kernel: a C-contiguous, native-order float32 row (or matrix of rows) of
+``num_features`` is scored as it is, and ``predict_batch`` allocates its
+float64 scores by calling ``numpy.empty``.  Any other input goes through
+:func:`as_rows`, the coercion and checks of ``heap_linked``, so it gives
+the same scores and raises the same errors.
 """
 
 from __future__ import annotations
@@ -266,12 +260,12 @@ typedef struct {
 
 /* Takes a read-only view of obj if it is a C-contiguous array of ndim
    dimensions, the last of them width long, whose items have the struct
-   format code in native byte order and are itemsize bytes long (what the
-   code implies, unless the exporter is broken: the kernels read that
-   many).  Returns 1, holding no view, for any other array, and -1
-   (exception set) if obj exports no buffer. */
-static int get_view(PyObject *obj, Py_buffer *view, char code,
-                    Py_ssize_t itemsize, int ndim, Py_ssize_t width)
+   format code 'f' in native byte order and are 4 bytes long (what 'f'
+   implies, unless the exporter is broken: the kernels read that many).
+   Returns 1, holding no view, for any other array, and -1 (exception set)
+   if obj exports no buffer. */
+static int get_view(PyObject *obj, Py_buffer *view, int ndim,
+                    Py_ssize_t width)
 {
     if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0)
         return -1;
@@ -279,8 +273,8 @@ static int get_view(PyObject *obj, Py_buffer *view, char code,
     if (format != NULL && (*format == '@' || *format == '='
                            || *format == (PY_LITTLE_ENDIAN ? '<' : '>')))
         format++;
-    if (format != NULL && format[0] == code && format[1] == '\0'
-            && view->itemsize == itemsize && view->ndim == ndim
+    if (format != NULL && format[0] == 'f' && format[1] == '\0'
+            && view->itemsize == 4 && view->ndim == ndim
             && view->shape[ndim - 1] == width
             && PyBuffer_IsContiguous(view, 'C'))
         return 0;
@@ -307,64 +301,6 @@ static int score_view(Kernel *self, Py_buffer *x, Py_ssize_t n, double *out)
     return 0;
 }
 
-/* The score of the one row in view x, which it releases. */
-static PyObject *score_one(Kernel *self, Py_buffer *x)
-{
-    double score;
-    if (score_view(self, x, 1, &score) < 0)
-        return NULL;
-    return PyFloat_FromDouble(score);
-}
-
-static PyObject *kernel_score_into(Kernel *self, PyObject *const *args,
-                                   Py_ssize_t nargs)
-{
-    Py_buffer x, out;
-    if (nargs != 2)
-        return PyErr_Format(PyExc_TypeError,
-                            "score_into() takes 2 arguments (%zd given)", nargs);
-    switch (get_view(args[0], &x, 'f', 4, 2, self->f)) {
-    case -1:
-        return NULL;
-    case 1:
-        return PyErr_Format(PyExc_ValueError, "matrix must be a C-contiguous "
-                            "float32 array of shape (n, %zd)", self->f);
-    }
-    const Py_ssize_t n = x.shape[0];
-    const int bad = get_view(args[1], &out, 'd', 8, 1, n);
-    if (bad || out.readonly) {
-        if (!bad)
-            PyBuffer_Release(&out);
-        PyBuffer_Release(&x);
-        if (bad < 0)
-            return NULL;
-        return PyErr_Format(PyExc_ValueError, "out must be a writable "
-                            "C-contiguous float64 array of shape (%zd,)", n);
-    }
-    const int failed = score_view(self, &x, n, out.buf);
-    PyBuffer_Release(&out);
-    if (failed)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static PyObject *kernel_score_row(Kernel *self, PyObject *const *args,
-                                  Py_ssize_t nargs)
-{
-    Py_buffer x;
-    if (nargs != 1)
-        return PyErr_Format(PyExc_TypeError,
-                            "score_row() takes 1 argument (%zd given)", nargs);
-    switch (get_view(args[0], &x, 'f', 4, 1, self->f)) {
-    case -1:
-        return NULL;
-    case 1:
-        return PyErr_Format(PyExc_ValueError, "x must be a C-contiguous "
-                            "float32 array of shape (%zd,)", self->f);
-    }
-    return score_one(self, &x);
-}
-
 /* The Python helper that coerces and checks any input the fast path of
    predict and predict_batch does not take, and numpy.empty, which
    allocates the scores of predict_batch.  Set once by setup(). */
@@ -377,7 +313,7 @@ static PyObject *as_rows, *empty;
    exception set. */
 static int rows_view(Kernel *self, PyObject *obj, int ndim, Py_buffer *view)
 {
-    int status = get_view(obj, view, 'f', 4, ndim, self->f);
+    int status = get_view(obj, view, ndim, self->f);
     if (status == 0)
         return 0;
     if (status < 0)
@@ -385,7 +321,7 @@ static int rows_view(Kernel *self, PyObject *obj, int ndim, Py_buffer *view)
     PyObject *rows = PyObject_CallFunction(as_rows, "Oni", obj, self->f, ndim);
     if (rows == NULL)
         return -1;
-    status = get_view(rows, view, 'f', 4, ndim, self->f);
+    status = get_view(rows, view, ndim, self->f);
     Py_DECREF(rows);            /* a view holds its exporter */
     if (status > 0)
         PyErr_SetString(PyExc_ValueError, "as_rows() returned an array "
@@ -397,12 +333,14 @@ static PyObject *kernel_predict(Kernel *self, PyObject *const *args,
                                 Py_ssize_t nargs)
 {
     Py_buffer x;
+    double score;
     if (nargs != 1)
         return PyErr_Format(PyExc_TypeError,
                             "predict() takes 1 argument (%zd given)", nargs);
-    if (rows_view(self, args[0], 1, &x) < 0)
+    if (rows_view(self, args[0], 1, &x) < 0
+            || score_view(self, &x, 1, &score) < 0)
         return NULL;
-    return score_one(self, &x);
+    return PyFloat_FromDouble(score);
 }
 
 static PyObject *kernel_predict_batch(Kernel *self, PyObject *const *args,
@@ -474,12 +412,6 @@ static void kernel_dealloc(Kernel *self)
 }
 
 static PyMethodDef kernel_methods[] = {
-    {"score_into", (PyCFunction) (void (*)(void)) kernel_score_into,
-     METH_FASTCALL, "score_into(matrix, out)\n--\n\n"
-     "Score every row of a float32 (n, num_features) array into float64 out."},
-    {"score_row", (PyCFunction) (void (*)(void)) kernel_score_row,
-     METH_FASTCALL, "score_row(x)\n--\n\n"
-     "The score of one float32 vector of num_features values."},
     {"predict", (PyCFunction) (void (*)(void)) kernel_predict,
      METH_FASTCALL, "predict(x)\n--\n\n"
      "The score of one feature vector, as Evaluator.predict."},
@@ -554,7 +486,7 @@ def as_rows(data, num_features: int, ndim: int) -> np.ndarray:
     ``ndim`` 1 asks for one row of ``num_features`` values, ``ndim`` 2 for
     a matrix of such rows (a :class:`~treescore.data.Dataset` gives its
     matrix).  Raises ``ValueError`` for any other shape, and what numpy
-    raises for what it cannot convert.  ``Evaluator.predict`` and
+    raises for what it cannot convert.  ``heap_linked``'s ``predict`` and
     ``predict_batch`` call it, and so does the binding for any input it
     cannot score as it is.
     """

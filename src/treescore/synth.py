@@ -177,31 +177,30 @@ def _leaf_constraints(tree: Tree, domain) -> list:
     lo0, hi0 = _f32(domain[0]), _f32(domain[1])
     out = []
     bounds: dict = {}
-
-    def walk(node: Node):
-        if node.is_leaf:
-            out.append(dict(bounds))
-            return
-        fid = node.fid
-        theta = node.threshold
-        saved = bounds.get(fid)
-        lo, hi = saved if saved is not None else (lo0, hi0)
-        left_bounds = (lo, min(hi, theta))
-        right_bounds = (max(lo, theta), hi)
-        for child, (blo, bhi) in ((node.left, left_bounds),
-                                  (node.right, right_bounds)):
-            if not blo < bhi:
+    # Iterative, so trees deeper than the recursion limit work too.  An
+    # entry is a node to walk or a (fid, interval) to set, where None
+    # deletes; they pop in the order a recursive walk reaches them.
+    pending = [tree.root]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, tuple):
+            fid, interval = item
+            if interval is None:
+                del bounds[fid]
+            elif interval[0] < interval[1]:
+                bounds[fid] = interval
+            else:
                 raise GenerationError(
                     f"leaf unreachable: contradictory predicates on feature {fid}"
                 )
-            bounds[fid] = (blo, bhi)
-            walk(child)
-        if saved is None:
-            del bounds[fid]
+        elif item.is_leaf:
+            out.append(dict(bounds))
         else:
-            bounds[fid] = saved
-
-    walk(tree.root)
+            fid, theta = item.fid, item.threshold
+            saved = bounds.get(fid)
+            lo, hi = saved if saved is not None else (lo0, hi0)
+            pending += [(fid, saved), item.right, (fid, (max(lo, theta), hi)),
+                        item.left, (fid, (lo, min(hi, theta)))]
     return out
 
 

@@ -205,10 +205,9 @@ class TestGateAndTimer:
         data = gen_leaf_uniform_vectors(
             tree, GenConfig(depth=2, num_features=4, num_vectors=16, seed=6))
         ev = build(ens, StrategyKind.CONTIGUOUS)
-        out = np.empty(16)
         monkeypatch.setattr(bench_mod, "_TIMER_RESOLUTION_NS", 10**12)
         with pytest.raises(TimerResolutionError, match="instance count"):
-            _timed_pass(ev, data.matrix, out, warmup=False)
+            _timed_pass(ev, data.matrix, warmup=False)
 
 
 class TestCoverage:

@@ -7,6 +7,7 @@ import pytest
 
 from treescore import (MAX_TABLE_FID, Dataset, Ensemble, Node, Tree, native,
                        parse_csv, read_csv, read_fvec, save_model, write_fvec)
+from treescore import bench as bench_mod
 from treescore.cli import main
 
 from conftest import requires_compiler
@@ -146,6 +147,25 @@ class TestBenchAndTune:
         assert code == 0
         captured = capsys.readouterr()
         assert captured.out.splitlines()[-1].startswith("contiguous")
+
+    def test_bench_on_a_dataset_without_rows_is_a_data_error(
+            self, tmp_path, model_path, capsys):
+        data = tmp_path / "empty.fvec"
+        write_fvec(data, Dataset(np.zeros((0, 32), dtype=np.float32)))
+        assert run(["bench", "--model", str(model_path), "--data", str(data),
+                    "--strategies", "heap_linked", "--trials", "2"]) == 2
+        assert "no rows" in capsys.readouterr().err
+
+    def test_bench_under_the_timer_resolution_is_a_data_error(
+            self, tmp_path, model_path, monkeypatch, capsys):
+        data = tmp_path / "tiny.fvec"
+        write_fvec(data, Dataset(np.zeros((3, 32), dtype=np.float32)))
+        # A clock so coarse that every pass is too short to time, as a
+        # pass over three rows is on a real one.
+        monkeypatch.setattr(bench_mod, "_TIMER_RESOLUTION_NS", 10**12)
+        assert run(["bench", "--model", str(model_path), "--data", str(data),
+                    "--strategies", "heap_linked", "--trials", "2"]) == 2
+        assert "instance count" in capsys.readouterr().err
 
     @requires_compiler
     def test_tune(self, tmp_path, model_path, data_path, capsys):

@@ -110,7 +110,7 @@ class TestCompileAndLoad:
         unit = compile_and_load(emit_source(ens), tmp_path)
         for values in ([0, 0, 0, 0], [9, 9, 9, 9]):
             x = np.array(values, dtype=np.float32)
-            assert unit.kernel.score_row(x) == 2.5
+            assert unit.kernel.predict(x) == 2.5
         assert (tmp_path / "scorer.c").exists()
         assert (tmp_path / "scorer.so").exists()
 
@@ -131,10 +131,10 @@ class TestCompileAndLoad:
         unit_a = compile_and_load(emit_source(ens_a), tmp_path / "a")
         unit_b = compile_and_load(emit_source(ens_b), tmp_path / "b")
         x = np.zeros(2, dtype=np.float32)
-        assert unit_a.kernel.score_row(x) == 1.0
-        assert unit_b.kernel.score_row(x) == 7.0
+        assert unit_a.kernel.predict(x) == 1.0
+        assert unit_b.kernel.predict(x) == 7.0
         # Loading b must not have rebound a's symbols.
-        assert unit_a.kernel.score_row(x) == 1.0
+        assert unit_a.kernel.predict(x) == 1.0
 
     def test_owned_workdir_removed_with_unit(self):
         ens = Ensemble(2, [(Tree(Node.leaf(1.0)), 1.0)])

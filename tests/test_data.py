@@ -6,7 +6,6 @@ import pytest
 from treescore import (
     DataFormatError,
     Dataset,
-    as_feature_vector,
     read_csv,
     read_fvec,
     write_csv,
@@ -29,15 +28,6 @@ def test_dataset_narrows_to_float32():
     ds = Dataset([[0.1, 0.2], [0.3, 0.4]])
     assert ds.matrix.dtype == np.float32
     assert ds.matrix.flags.c_contiguous
-
-
-def test_feature_vector_coercion():
-    x = as_feature_vector([0.1, 0.2, 0.3], num_features=3)
-    assert x.dtype == np.float32
-    with pytest.raises(ValueError):
-        as_feature_vector([0.1, 0.2], num_features=3)
-    with pytest.raises(ValueError):
-        as_feature_vector([np.nan, 0.0])
 
 
 def test_fvec_roundtrip(tmp_path):

@@ -497,12 +497,6 @@ def native_evaluators(ens):
     return evaluators
 
 
-def native_kernels(ens):
-    """The binding of each of the five native strategies, by name."""
-    return {name: ev._predict_into.__self__
-            for name, ev in native_evaluators(ens).items()}
-
-
 def strided(a):
     """``a`` as a non-contiguous view of the same shape and values."""
     return np.repeat(a, 2, axis=-1)[..., ::2]
@@ -514,95 +508,18 @@ def read_only(a):
 
 
 @requires_compiler
-class TestBinding:
-    """The array checks the binding makes before any native kernel runs."""
-
-    @pytest.fixture(scope="class")
-    def case(self):
-        rng = np.random.default_rng(39)
-        ens = random_ensemble(rng, 8, 5, 6)
-        X = random_matrix(rng, 24, 8)
-        return native_kernels(ens), X, reference_batch(ens, X)
-
-    @pytest.mark.parametrize("bad", [
-        pytest.param(lambda X: X.astype(np.float64), id="float64"),
-        pytest.param(strided, id="non-contiguous"),
-        pytest.param(lambda X: X.astype(">f4"), id="byte-swapped"),
-        pytest.param(lambda X: X[:, :-1].copy(), id="wrong-width"),
-        pytest.param(lambda X: X[0].copy(), id="1-d-batch"),
-    ])
-    def test_bad_matrix_raises(self, case, bad):
-        kernels, X, _ = case
-        matrix = bad(X)
-        for kernel in kernels.values():
-            with pytest.raises(ValueError, match="matrix must be"):
-                kernel.score_into(matrix, np.empty(X.shape[0]))
-
-    @pytest.mark.parametrize("bad", [
-        pytest.param(lambda x: x.astype(np.float64), id="float64"),
-        pytest.param(strided, id="non-contiguous"),
-        pytest.param(lambda x: x.astype(">f4"), id="byte-swapped"),
-        pytest.param(lambda x: x[:-1].copy(), id="wrong-width"),
-        pytest.param(lambda x: x[None, :].copy(), id="2-d-row"),
-    ])
-    def test_bad_row_raises(self, case, bad):
-        kernels, X, _ = case
-        x = bad(X[0])
-        for kernel in kernels.values():
-            with pytest.raises(ValueError, match="x must be"):
-                kernel.score_row(x)
-
-    @pytest.mark.parametrize("bad", [
-        pytest.param(lambda n: np.zeros(n, dtype=np.float32), id="float32"),
-        pytest.param(lambda n: np.zeros(n + 1), id="too-long"),
-        pytest.param(lambda n: np.zeros(n - 1), id="too-short"),
-        pytest.param(lambda n: np.zeros((n, 1)), id="2-d"),
-        pytest.param(lambda n: strided(np.zeros(n)), id="non-contiguous"),
-        pytest.param(lambda n: np.zeros(n, dtype=">f8"), id="byte-swapped"),
-        pytest.param(lambda n: read_only(np.zeros(n)), id="read-only"),
-    ])
-    def test_bad_out_raises(self, case, bad):
-        kernels, X, _ = case
-        out = bad(X.shape[0])
-        for name, kernel in kernels.items():
-            with pytest.raises(ValueError, match="out must be"):
-                kernel.score_into(X, out)
-            assert not out.any(), name
-
-    def test_read_only_and_empty_inputs_score(self, case):
-        kernels, X, expected = case
-        X = read_only(X.copy())
-        for name, kernel in kernels.items():
-            out = np.empty(X.shape[0])
-            kernel.score_into(X, out)
-            assert np.array_equal(out, expected), name
-            assert [kernel.score_row(x) for x in X] == list(expected), name
-            kernel.score_into(X[:0], np.empty(0))
-
-    def test_non_buffers_raise_type_error(self, case):
-        kernels, X, _ = case
-        for kernel in kernels.values():
-            with pytest.raises(TypeError):
-                kernel.score_into(X.tolist(), np.empty(X.shape[0]))
-            with pytest.raises(TypeError):
-                kernel.score_row(X[0].tolist())
-            with pytest.raises(TypeError):
-                kernel.score_row()
-
-
-@requires_compiler
 def test_native_evaluators_call_the_binding_directly():
     rng = np.random.default_rng(40)
     ens = random_ensemble(rng, 8, 4, 5)
     builds = [((kind, v), build(ens, kind, v)) for kind, v in TABLE_BUILDS]
     builds.append(((StrategyKind.GENERATED, None), codegen.build_generated(ens)))
     binding = native.load_layout_kernels().Kernel
+    assert [name for name in dir(binding) if not name.startswith("_")] == [
+        "predict", "predict_batch"]
     for (kind, v), ev in builds:
         # No Python layer between predict/predict_batch and the binding.
-        kernel = ev._predict_into.__self__
+        kernel = ev.predict.__self__
         assert type(kernel) is binding, kind
-        assert ev._predict_row.__self__ is kernel, kind
-        assert ev.predict.__self__ is kernel, kind
         assert ev.predict_batch.__self__ is kernel, kind
         assert ev.kind is kind
         assert ev.batch_size == v, kind

@@ -190,6 +190,25 @@ class TestLeafUniformVectors:
         with pytest.raises(GenerationError, match="unreachable"):
             gen_leaf_uniform_vectors(tree, cfg)
 
+    def test_chain_deeper_than_the_recursion_limit(self):
+        # 1,500 splits on feature 0 with a leaf on the right of each and
+        # thresholds rising toward the root, so all 1,501 leaves are
+        # reachable.
+        depth = 1500
+        node = Node.leaf(0.0)
+        for k in range(depth):
+            node = Node.internal(0, 0.25 + 0.5 * (k + 1) / (depth + 1), node,
+                                 Node.leaf(k + 1.0))
+        tree = Tree(node)
+        cfg = GenConfig(depth=depth, num_features=2, seed=3,
+                        num_vectors=2 * (depth + 1))
+        data, assigned = gen_leaf_uniform_vectors(tree, cfg,
+                                                  with_assignments=True)
+        reached = [tree.leaf_ordinal(traverse_to_leaf(tree.root, x))
+                   for x in data.matrix]
+        assert reached == assigned.tolist()
+        assert leaf_hits(tree, data).tolist() == [2] * (depth + 1)
+
     def test_feature_count_mismatch_rejected(self):
         tree = gen_tree(GenConfig(depth=2, num_features=8, seed=3))
         cfg = GenConfig(depth=2, num_features=2, seed=3, num_vectors=4)
