@@ -30,7 +30,10 @@ CSV layout (also parsed back by :func:`parse_csv`)::
 
 with one row per trial, aggregate rows using ``trial=mean`` and
 ``trial=ci95``, unavailable strategies marked with ``trial=unavailable``,
-and environment metadata in leading ``#`` comment lines.
+and environment metadata in leading ``#`` comment lines.  Among them,
+``compile_cache`` names the compile cache's directory (or ``off``) and
+``layout_kernels_build`` says whether the process compiled its
+layout-kernel library, copied it from that cache, or never built it.
 """
 
 from __future__ import annotations
@@ -44,7 +47,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .codegen import CompilerNotFoundError, build_generated, find_compiler, OPT_FLAGS
+from . import native
+from .codegen import (CompilerNotFoundError, build_generated, cache_dir,
+                      find_compiler, OPT_FLAGS)
 from .data import Dataset
 from .evaluators import (
     ALL_STRATEGIES,
@@ -194,6 +199,11 @@ _TIMER_RESOLUTION_NS = max(
     1, int(time.get_clock_info("perf_counter").resolution * 1e9))
 
 
+_LIBRARY_BUILDS = {None: "not built", True: "cache hit", False: "compiled"}
+# What a TimerResolutionError suggests when the instance count is a setting.
+_MORE_INSTANCES = "increase the instance count"
+
+
 def collect_environment() -> dict:
     compiler = find_compiler()
     return {
@@ -203,6 +213,8 @@ def collect_environment() -> dict:
         "numpy": np.__version__,
         "compiler": compiler or "unavailable",
         "compiler_flags": " ".join(OPT_FLAGS),
+        "compile_cache": str(cache_dir() or "off"),
+        "layout_kernels_build": _LIBRARY_BUILDS[native.library_cache_hit()],
         "timer_resolution_ns": str(_TIMER_RESOLUTION_NS),
         "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "notes": ("timings include weighted ensemble accumulation and "
@@ -212,8 +224,13 @@ def collect_environment() -> dict:
     }
 
 
-def _timed_pass(evaluator, matrix, warmup: bool) -> int:
-    """One whole-pass timing on the monotonic clock; returns elapsed ns."""
+def _timed_pass(evaluator, matrix, warmup: bool,
+                remedy: str = _MORE_INSTANCES) -> int:
+    """One whole-pass timing on the monotonic clock; returns elapsed ns.
+
+    A pass too short to time raises :class:`TimerResolutionError`, whose
+    message ends with ``remedy``.
+    """
     if warmup:
         evaluator.predict_batch(matrix)
     t0 = time.perf_counter_ns()
@@ -222,7 +239,7 @@ def _timed_pass(evaluator, matrix, warmup: bool) -> int:
     if elapsed < 1000 * _TIMER_RESOLUTION_NS:
         raise TimerResolutionError(
             f"elapsed {elapsed} ns is under 1000x the clock granularity "
-            f"({_TIMER_RESOLUTION_NS} ns); increase the instance count"
+            f"({_TIMER_RESOLUTION_NS} ns); {remedy}"
         )
     return elapsed
 
@@ -250,7 +267,8 @@ def _cell_seed(seed: int, trial: int, depth: int, features: int) -> int:
 # The driver
 # ---------------------------------------------------------------------------
 
-def _run(cells, cfg: BenchConfig, passes: int, progress=None) -> BenchReport:
+def _run(cells, cfg: BenchConfig, passes: int, progress=None,
+         remedy: str = _MORE_INSTANCES) -> BenchReport:
     """Build, gate and time ``cfg.strategies`` on each cell.
 
     ``cells`` yields ``(depth, features, ensemble, matrix)`` and is consumed
@@ -260,6 +278,7 @@ def _run(cells, cfg: BenchConfig, passes: int, progress=None) -> BenchReport:
     batch) and kept in first-seen order; a missing compiler marks the rows
     of every strategy but ``heap_linked`` unavailable and the run carries
     on.  ``progress``, when given, receives one line per timed pass.
+    ``remedy`` ends the message of a :class:`TimerResolutionError`.
     """
     rows: dict = {}
     for depth, features, ensemble, matrix in cells:
@@ -286,7 +305,7 @@ def _run(cells, cfg: BenchConfig, passes: int, progress=None) -> BenchReport:
                                      for label, _, evaluator in built], matrix)
         for _ in range(passes):
             for label, row, evaluator in built:
-                elapsed = _timed_pass(evaluator, matrix, cfg.warmup)
+                elapsed = _timed_pass(evaluator, matrix, cfg.warmup, remedy)
                 row.trial_elapsed_ns.append(elapsed)
                 if progress is not None:
                     progress(f"trial {len(row.trial_elapsed_ns) - 1} "
@@ -318,14 +337,16 @@ def run_sweep(cfg: BenchConfig, progress=None) -> BenchReport:
 
 def run_fixed(ensemble: Ensemble, data: Dataset, strategies=ALL_STRATEGIES,
               batch_sizes=(1, 8, 16, 32, 64), trials: int = 5,
-              warmup: bool = True, progress=None) -> BenchReport:
+              warmup: bool = True, progress=None,
+              data_name: str = "the dataset") -> BenchReport:
     """Benchmark a fixed model on a fixed dataset (no regeneration).
 
     The depth/features columns report the model's max depth and feature
     count.  The same correctness gate and timing protocol as
     :func:`run_sweep` apply; trials repeat timing on identical inputs.
     Raises ``ValueError`` for a dataset without rows, which has no time
-    per instance.
+    per instance, and :class:`TimerResolutionError`, naming the dataset
+    as ``data_name`` and its row count, for one too small to time.
     """
     if data.count == 0:
         raise ValueError("the dataset has no rows to time")
@@ -338,7 +359,9 @@ def run_fixed(ensemble: Ensemble, data: Dataset, strategies=ALL_STRATEGIES,
                       feature_sizes=(), batch_sizes=tuple(batch_sizes),
                       instances=data.count, trials=trials, warmup=warmup)
     return _run([(depth, features, ensemble, data.matrix)], cfg, trials,
-                progress)
+                progress, f"{data_name} has only {data.count} rows, an "
+                          "instance count too small to time: use a larger "
+                          "dataset")
 
 
 def best_batch_sizes(report: BenchReport) -> dict:

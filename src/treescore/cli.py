@@ -29,6 +29,7 @@ from .model import ModelError, load_model, save_model, tree_stats
 from .synth import GenConfig, GenerationError, gen_ensemble, gen_leaf_uniform_vectors
 
 DEFAULT_BATCHES = (1, 8, 16, 32, 64)
+DEFAULT_INSTANCES = BenchConfig.instances
 
 
 class UsageError(Exception):
@@ -148,27 +149,33 @@ def _cmd_bench(args) -> int:
     strategies, batches = _resolve_bench_strategies(args)
     if args.trials < 2:
         raise UsageError("--trials must be >= 2")
-    if args.instances < 1:
+    instances = DEFAULT_INSTANCES if args.instances is None else args.instances
+    if instances < 1:
         raise UsageError("--instances must be >= 1")
     if args.sweep:
         if args.data:
             raise UsageError("--data applies to --model mode, not --sweep")
         cfg = BenchConfig(strategies=strategies, batch_sizes=batches,
-                          instances=args.instances, trials=args.trials,
+                          instances=instances, trials=args.trials,
                           warmup=not args.no_warmup)
         report = bench_mod.run_sweep(cfg, progress=_progress)
     else:
+        if args.data and args.instances is not None:
+            raise UsageError("--instances applies without --data; the "
+                             "dataset's rows are the instances")
         ensemble = load_model(args.model)
         if args.data:
             dataset = _load_dataset(args.data, ensemble.num_features)
+            data_name = args.data
         else:
-            _progress(f"no --data given; generating {args.instances} vectors "
+            _progress(f"no --data given; generating {instances} vectors "
                       "(seed 0)")
-            dataset = _synthesize_data(ensemble, args.instances)
+            dataset = _synthesize_data(ensemble, instances)
+            data_name = "the generated dataset (--instances)"
         report = bench_mod.run_fixed(ensemble, dataset, strategies=strategies,
                                      batch_sizes=batches, trials=args.trials,
                                      warmup=not args.no_warmup,
-                                     progress=_progress)
+                                     progress=_progress, data_name=data_name)
     _emit(export_csv(report), args.out)
     return 0
 
@@ -284,8 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "required when vpredicated is named explicitly)")
     p.add_argument("--trials", type=int, default=5,
                    help="timing trials per configuration (default 5)")
-    p.add_argument("--instances", type=int, default=524288,
-                   help="instances per timed pass (default 524288)")
+    p.add_argument("--instances", type=int,
+                   help=f"instances per timed pass, without --data "
+                        f"(default {DEFAULT_INSTANCES})")
     p.add_argument("--no-warmup", action="store_true",
                    help="skip the untimed warmup pass (cold-cache timing)")
     p.add_argument("--out", help="write CSV here instead of stdout")

@@ -16,7 +16,11 @@ strategies.
 ``compile_and_load`` shells out to the host C compiler at full
 optimization (through ``compile_shared_object``, which the native layout
 kernels of :mod:`treescore.native` share), loads the shared object, and
-binds its entry point.  :class:`GeneratedEvaluator` is the
+binds its entry point.  ``compile_shared_object`` keeps every object it
+builds in a per-user cache (:func:`cache_dir`), keyed by the source and
+the toolchain, so a process that builds a source some process on the
+same machine already built copies the object instead of compiling.
+:class:`GeneratedEvaluator` is the
 :class:`~treescore.evaluators.NativeEvaluator` over that binding, so its
 ``predict`` and ``predict_batch`` are the binding's own and a request runs
 no Python code unless its input needs coercing; the model lives in machine
@@ -33,11 +37,19 @@ flexibility cost this strategy exists to demonstrate.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import hashlib
+import json
 import os
+import platform
 import shutil
+import stat
 import subprocess
+import sys
+import sysconfig
 import tempfile
+import time
 import weakref
 from pathlib import Path
 
@@ -49,6 +61,10 @@ from .model import Ensemble, Node
 
 COMPILER_ENV_VAR = "TREESCORE_CC"
 OPT_FLAGS = ("-O3", "-fomit-frame-pointer", "-pipe")
+LINK_FLAGS = ("-shared", "-fPIC")
+# The compile cache keeps at most this many bytes of objects; the least
+# recently used go first.
+CACHE_BYTES = 256 << 20
 ENTRY_SYMBOL = "score_rows"
 FEATURES_SYMBOL = "num_features"
 # Nesting deeper than this many levels is emitted at this indentation, so
@@ -154,19 +170,25 @@ class GeneratedUnit:
 
     ``kernel`` is the unit's entry point bound through
     :mod:`treescore.native`, whose ``predict(x)`` and
-    ``predict_batch(data)`` take what an evaluator takes.  A workdir the
+    ``predict_batch(data)`` take what an evaluator takes.  ``compile_s``
+    is the wall time of building ``lib_path``, and ``cache_hit`` says
+    whether it was copied from the compile cache rather than compiled
+    (then ``compile_s`` is a few milliseconds).  A workdir the
     unit created (``owns_workdir``) is removed when the unit is collected,
     or at exit; a workdir it was given stays.  The loaded library stays
     mapped for the life of the process.
     """
 
     def __init__(self, source_text: str, workdir: Path, lib_path: Path,
-                 compiler: str, flags: tuple, owns_workdir: bool):
+                 compiler: str, flags: tuple, owns_workdir: bool, *,
+                 compile_s: float, cache_hit: bool):
         self.source_text = source_text
         self.workdir = workdir
         self.lib_path = lib_path
         self.compiler = compiler
         self.flags = flags
+        self.compile_s = compile_s
+        self.cache_hit = cache_hit
         binding = native.load_layout_kernels().Kernel
         try:
             lib = ctypes.CDLL(str(lib_path))
@@ -193,22 +215,129 @@ def _require_compiler() -> str:
     return compiler
 
 
+def cache_dir() -> Path | None:
+    """The directory of the compile cache, created with mode 0700.
+
+    ``$XDG_CACHE_HOME/treescore`` (an absolute ``XDG_CACHE_HOME`` only, as
+    the XDG specification asks), else ``~/.cache/treescore``.  ``None``,
+    which turns the cache off, unless the directory exists or can be made,
+    the current user owns it, and neither group nor others may write it.
+    """
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+        if not os.path.isabs(base):
+            return None
+    directory = Path(base, "treescore")
+    try:
+        directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = directory.stat()
+    except OSError:
+        return None
+    if (not stat.S_ISDIR(st.st_mode) or st.st_uid != os.getuid()
+            or st.st_mode & 0o022):
+        return None
+    return directory
+
+
+# ``compiler --version`` per compiler, or None where it failed.
+_VERSIONS: dict = {}
+
+
+def _compiler_version(compiler: str) -> str | None:
+    if compiler not in _VERSIONS:
+        try:
+            proc = subprocess.run([compiler, "--version"], capture_output=True,
+                                  text=True, errors="replace")
+        except OSError:
+            proc = None
+        _VERSIONS[compiler] = (proc.stdout if proc and proc.returncode == 0
+                               else None)
+    return _VERSIONS[compiler]
+
+
+def _cache_entry(compiler: str, flags: list, source: str) -> Path | None:
+    """Where the cache keeps the object of ``source`` built with
+    ``compiler`` and ``flags``; ``None`` when there is no cache, or the
+    compiler cannot say its version."""
+    directory = cache_dir()
+    version = _compiler_version(compiler)
+    if directory is None or version is None:
+        return None
+    toolchain = [os.path.realpath(compiler), version, flags, sys.version,
+                 sysconfig.get_config_var("EXT_SUFFIX"), platform.machine()]
+    key = hashlib.sha256(json.dumps(toolchain).encode())
+    key.update(b"\0")
+    key.update(source.encode("utf-8"))
+    return directory / f"{key.hexdigest()}.so"
+
+
+def _copy_into(src: Path, dst: Path) -> None:
+    """Copy ``src`` (contents and mode) to ``dst`` through a temporary file
+    beside it, so that no reader, nor a library mapped from ``dst``, ever
+    sees a partly written file."""
+    fd, tmp = tempfile.mkstemp(prefix=".", suffix=".tmp", dir=dst.parent)
+    os.close(fd)
+    try:
+        shutil.copy(src, tmp)
+        os.replace(tmp, dst)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _evict(directory: Path) -> None:
+    """Delete the least recently used objects until the rest fit in
+    :data:`CACHE_BYTES`."""
+    entries = []
+    for path in directory.glob("*.so"):
+        with contextlib.suppress(OSError):
+            st = path.stat()
+            entries.append((st.st_mtime_ns, st.st_size, path))
+    total = sum(size for _, size, _ in entries)
+    for _, size, path in sorted(entries):
+        if total <= CACHE_BYTES:
+            break
+        with contextlib.suppress(OSError):
+            path.unlink()
+        total -= size
+
+
 def compile_shared_object(source: str, workdir: Path, *,
-                          include_dirs: tuple = ()) -> Path:
+                          include_dirs: tuple = ()) -> tuple[Path, bool]:
     """Write ``source`` to ``workdir/scorer.c`` and build ``scorer.so`` there.
 
     Compiles at :data:`OPT_FLAGS`, searching ``include_dirs`` for headers,
-    and returns the shared object's path.
-    Raises :class:`CompilerNotFoundError` when no compiler is discoverable
-    and :class:`CompilationError` (with the compiler's diagnostics) on a
-    failed build.
+    and returns the shared object's path and whether it came from the
+    compile cache.  The cache (:func:`cache_dir`) is keyed by a sha256 of
+    the source, the resolved compiler and its ``--version``, the flags,
+    the include directories, the interpreter's version and extension
+    suffix, and the machine.  A hit copies the cached object to
+    ``workdir/scorer.so`` and compiles nothing; a miss compiles as if
+    there were no cache, then publishes the object under its key with an
+    atomic rename, so a concurrent process sees all of it or nothing.  A
+    hit marks its entry most recently used; past :data:`CACHE_BYTES`,
+    the least recently used entries are deleted.  Without a usable cache
+    directory, or when ``--version`` fails, every build compiles.
+    Raises :class:`CompilerNotFoundError` when no compiler is discoverable,
+    whatever the cache holds, and :class:`CompilationError` (with the
+    compiler's diagnostics) on a failed build, which stores nothing.
     """
     compiler = _require_compiler()
     src_path = workdir / "scorer.c"
     lib_path = workdir / "scorer.so"
     src_path.write_text(source, encoding="utf-8")
-    cmd = [compiler, *OPT_FLAGS, "-shared", "-fPIC",
-           *(f"-I{d}" for d in include_dirs), "-o", str(lib_path), str(src_path)]
+    flags = [*OPT_FLAGS, *LINK_FLAGS, *(f"-I{d}" for d in include_dirs)]
+    entry = _cache_entry(compiler, flags, source)
+    if entry is not None:
+        try:
+            os.utime(entry)  # raises on a miss
+            _copy_into(entry, lib_path)
+            return lib_path, True
+        except OSError:
+            pass  # not cached, or evicted meanwhile: compile it
+    cmd = [compiler, *flags, "-o", str(lib_path), str(src_path)]
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True)
     except FileNotFoundError as exc:
@@ -218,7 +347,11 @@ def compile_shared_object(source: str, workdir: Path, *,
             f"compiler failed (exit {proc.returncode}): {' '.join(cmd)}\n"
             f"{proc.stderr or proc.stdout}"
         )
-    return lib_path
+    if entry is not None:
+        with contextlib.suppress(OSError):  # a cache that cannot take it
+            _copy_into(lib_path, entry)
+            _evict(entry.parent)
+    return lib_path, False
 
 
 def compile_and_load(source: str, workdir=None) -> GeneratedUnit:
@@ -239,9 +372,11 @@ def compile_and_load(source: str, workdir=None) -> GeneratedUnit:
     workdir = Path(tempfile.mkdtemp(prefix="treescore-gen-")) if owns_workdir \
         else Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    lib_path = compile_shared_object(source, workdir)
+    start = time.perf_counter()
+    lib_path, cache_hit = compile_shared_object(source, workdir)
     return GeneratedUnit(source, workdir, lib_path, compiler, OPT_FLAGS,
-                         owns_workdir)
+                         owns_workdir, compile_s=time.perf_counter() - start,
+                         cache_hit=cache_hit)
 
 
 class GeneratedEvaluator(NativeEvaluator):

@@ -3,9 +3,14 @@ the CPython binding every native strategy is called through.
 
 One fixed C source holds the kernels of ``compact_linked``, ``contiguous``
 and the predicated pair, and a small CPython extension, ``Kernel``, in the
-same translation unit.  It is compiled once per process with the compiler,
+same translation unit.  It is built once per process with the compiler,
 flags and build step of :mod:`treescore.codegen` (plus the interpreter's
 C headers), and the loaded library is cached for the life of the process.
+That build step keeps the object in the per-user compile cache of
+:func:`~treescore.codegen.compile_shared_object`, so only the first
+process on a machine (per compiler and interpreter) runs the compiler;
+the others copy the object, and :func:`library_cache_hit` says which
+happened.
 Like ``generated``, the four strategies need a C compiler and the Python
 headers: without either, :func:`load_layout_kernels` raises
 :class:`~treescore.codegen.CompilerNotFoundError`, and so does building
@@ -532,8 +537,8 @@ def _build_library(codegen) -> ctypes.CDLL:
     # The shared object may be unlinked once loaded, so nothing outlives
     # the temporary directory but the mapping itself.
     with tempfile.TemporaryDirectory(prefix="treescore-kernels-") as tmp:
-        path = codegen.compile_shared_object(_SOURCE, Path(tmp),
-                                             include_dirs=(include,))
+        path, cache_hit = codegen.compile_shared_object(
+            _SOURCE, Path(tmp), include_dirs=(include,))
         spec = importlib.util.spec_from_file_location(_MODULE, path)
         binding = importlib.util.module_from_spec(spec)
         lib = ctypes.CDLL(str(path))
@@ -545,6 +550,7 @@ def _build_library(codegen) -> ctypes.CDLL:
     lib.node_size = ctypes.c_size_t.in_dll(lib, "node_size").value
     binding.setup(as_rows, np.empty)
     lib.Kernel = binding.Kernel
+    lib.cache_hit = cache_hit
     return lib
 
 
@@ -564,6 +570,13 @@ def load_layout_kernels() -> ctypes.CDLL:
         if _LIBRARY is None:
             _LIBRARY = _build_library(codegen)
         return _LIBRARY
+
+
+def library_cache_hit() -> bool | None:
+    """Whether this process's layout-kernel library was copied from the
+    compile cache rather than compiled; ``None`` until it is built."""
+    lib = _LIBRARY
+    return None if lib is None else lib.cache_hit
 
 
 def function_address(function) -> int:

@@ -1,4 +1,15 @@
-"""Shared helpers: random model builders and native-code availability."""
+"""Shared helpers: random model builders and native-code availability.
+
+At import, before anything is built, ``XDG_CACHE_HOME`` points at a fresh
+directory for this session, so the suite never reads or writes the user's
+compile cache, and the CLI and demo subprocesses it starts share the
+session's cache.  The directory is removed at exit.
+"""
+
+import atexit
+import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
@@ -6,6 +17,11 @@ import pytest
 from treescore import (CompilationError, CompilerNotFoundError, Ensemble, Node,
                        Tree, native)
 from treescore.synth import GenConfig, gen_tree
+
+
+SESSION_CACHE_HOME = tempfile.mkdtemp(prefix="treescore-test-cache-")
+os.environ["XDG_CACHE_HOME"] = SESSION_CACHE_HOME
+atexit.register(shutil.rmtree, SESSION_CACHE_HOME, ignore_errors=True)
 
 
 def _native_library_builds() -> bool:

@@ -97,6 +97,13 @@ class TestUsageErrors:
     def test_bench_sweep_with_data_conflicts(self, tmp_path):
         assert run(["bench", "--sweep", "--data", str(tmp_path / "x")]) == 1
 
+    def test_bench_instances_with_data_conflicts(self, model_path, data_path,
+                                                 capsys):
+        # The dataset's rows are the instances; --instances would be ignored.
+        assert run(["bench", "--model", str(model_path), "--data",
+                    str(data_path), "--instances", "64"]) == 1
+        assert "--instances applies without --data" in capsys.readouterr().err
+
     def test_bench_bad_trials(self, model_path, data_path):
         assert run(["bench", "--model", str(model_path), "--data",
                     str(data_path), "--trials", "1"]) == 1
@@ -166,6 +173,22 @@ class TestBenchAndTune:
         assert run(["bench", "--model", str(model_path), "--data", str(data),
                     "--strategies", "heap_linked", "--trials", "2"]) == 2
         assert "instance count" in capsys.readouterr().err
+
+    def test_timer_resolution_error_names_the_dataset(
+            self, tmp_path, model_path, monkeypatch, capsys):
+        data = tmp_path / "tiny.fvec"
+        write_fvec(data, Dataset(np.zeros((3, 32), dtype=np.float32)))
+        monkeypatch.setattr(bench_mod, "_TIMER_RESOLUTION_NS", 10**12)
+        assert run(["bench", "--model", str(model_path), "--data", str(data),
+                    "--strategies", "heap_linked", "--trials", "2"]) == 2
+        err = capsys.readouterr().err
+        assert f"{data} has only 3 rows" in err
+        assert "increase the instance count" not in err
+        # Without --data, --instances sets the count, so the error says so.
+        assert run(["bench", "--model", str(model_path), "--instances", "3",
+                    "--strategies", "heap_linked", "--trials", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "the generated dataset (--instances) has only 3 rows" in err
 
     @requires_compiler
     def test_tune(self, tmp_path, model_path, data_path, capsys):
