@@ -20,8 +20,8 @@ feeds it one fixed model and dataset with ``trials`` passes.
 
 Timings include the weighted ensemble accumulation and the allocation of
 the output, because every strategy is timed through the same
-``predict_batch`` call; the five native ones all go through the one
-CPython binding of :mod:`treescore.native`, with the same array checks.
+``predict_batch`` call, and all six go through the one CPython binding
+of :mod:`treescore.native`, with the same array checks.
 These facts are recorded in the report metadata.
 
 CSV layout (also parsed back by :func:`parse_csv`)::
@@ -219,8 +219,7 @@ def collect_environment() -> dict:
         "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "notes": ("timings include weighted ensemble accumulation and "
                   "output allocation; every strategy is timed through "
-                  "predict_batch, every native one through the same "
-                  "CPython binding"),
+                  "predict_batch of the same CPython binding"),
     }
 
 
@@ -275,9 +274,10 @@ def _run(cells, cfg: BenchConfig, passes: int, progress=None,
     one cell at a time.  Each cell gets every strategy (one ``vpredicated``
     per batch size), one correctness gate, then ``passes`` timed passes,
     strategy after strategy.  Rows are keyed (strategy, depth, features,
-    batch) and kept in first-seen order; a missing compiler marks the rows
-    of every strategy but ``heap_linked`` unavailable and the run carries
-    on.  ``progress``, when given, receives one line per timed pass.
+    batch) and kept in first-seen order; a strategy that cannot be built
+    for want of a compiler or the Python headers has its rows marked
+    unavailable, and the run carries on (without either, every row is).
+    ``progress``, when given, receives one line per timed pass.
     ``remedy`` ends the message of a :class:`TimerResolutionError`.
     """
     rows: dict = {}

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bench as bench_mod
+from . import bench as bench_mod, native
 from .bench import BenchConfig, export_csv, measure_feature_coverage
 from .codegen import (
     CompilationError,
@@ -145,6 +145,14 @@ def _resolve_bench_strategies(args):
     return strategies, batches
 
 
+def _require_kernels() -> None:
+    """Raise :class:`CompilerNotFoundError` (exit 3) when no strategy can
+    be built: every one is scored through the binding compiled with the
+    layout kernels, so without a compiler or the Python headers a report
+    would hold nothing but unavailable rows."""
+    native.load_layout_kernels()
+
+
 def _cmd_bench(args) -> int:
     strategies, batches = _resolve_bench_strategies(args)
     if args.trials < 2:
@@ -152,17 +160,18 @@ def _cmd_bench(args) -> int:
     instances = DEFAULT_INSTANCES if args.instances is None else args.instances
     if instances < 1:
         raise UsageError("--instances must be >= 1")
+    if args.sweep and args.data:
+        raise UsageError("--data applies to --model mode, not --sweep")
+    if not args.sweep and args.data and args.instances is not None:
+        raise UsageError("--instances applies without --data; the "
+                         "dataset's rows are the instances")
+    _require_kernels()
     if args.sweep:
-        if args.data:
-            raise UsageError("--data applies to --model mode, not --sweep")
         cfg = BenchConfig(strategies=strategies, batch_sizes=batches,
                           instances=instances, trials=args.trials,
                           warmup=not args.no_warmup)
         report = bench_mod.run_sweep(cfg, progress=_progress)
     else:
-        if args.data and args.instances is not None:
-            raise UsageError("--instances applies without --data; the "
-                             "dataset's rows are the instances")
         ensemble = load_model(args.model)
         if args.data:
             dataset = _load_dataset(args.data, ensemble.num_features)
@@ -197,6 +206,7 @@ def _cmd_tune(args) -> int:
     ensemble = load_model(args.model)
     dataset = _load_dataset(args.data, ensemble.num_features)
     batches = _parse_int_list(args.batches, "--batches")
+    _require_kernels()
     report = bench_mod.run_fixed(ensemble, dataset,
                                  strategies=(StrategyKind.VPREDICATED,),
                                  batch_sizes=batches, progress=_progress)

@@ -9,9 +9,10 @@ float32, and accumulate scores in float64 in tree order, so their outputs
 are bit-identical.
 
 heap_linked
-    The deliberately naive object graph: one plain Python object per node,
-    virtual-style dispatch through an ``eval`` method on two polymorphic
-    node classes.  The interpreter baseline; no pooling, no packing.
+    The deliberately naive object graph: one individually allocated object
+    per node, of one of two types (internal node or leaf), each step
+    dispatched through the object's own type as a virtual call.  No
+    pooling, no packing.
 compact_linked
     One compact record per node, individually allocated in depth-first
     order and pointer-chased by a tight iterative loop.
@@ -31,16 +32,17 @@ vpredicated
     remainders (the last ``n mod v`` rows) are a shorter block, never
     padded with fabricated instances.
 
-The four table strategies (compact_linked, contiguous, predicated and
-vpredicated) score whole ensembles in the native kernels of
-:mod:`treescore.native`, so that their comparisons measure layout,
-branches and lockstep rather than the interpreter; predicated is the
-lockstep kernel with one lane.  :mod:`treescore.native` packs their tables
-and binds their kernels; this module wraps each bound kernel, as it wraps
-the entry point of a ``generated`` unit, in one :class:`NativeEvaluator`.
-Like ``generated`` they need a C compiler and the Python headers: without
-either, :func:`build` raises
-:class:`~treescore.codegen.CompilerNotFoundError` for them.
+All five strategies built here score whole ensembles in the native
+kernels of :mod:`treescore.native`, so that their comparisons measure
+dispatch, object size, layout, branches and lockstep rather than the
+interpreter; predicated is the lockstep kernel with one lane.
+:mod:`treescore.native` packs their tables and binds their kernels; this
+module wraps each bound kernel, as it wraps the entry point of a
+``generated`` unit, in one :class:`NativeEvaluator`.  Like ``generated``
+they need a C compiler and the Python headers: without either,
+:func:`build` raises :class:`~treescore.codegen.CompilerNotFoundError`,
+and only :func:`~treescore.model.reference_predict` (and
+:func:`reference_batch`) score.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import native
-from .model import CompleteTree, Ensemble, Node, reference_predict
+from .model import CompleteTree, Ensemble, reference_predict
 
 
 class StrategyKind(enum.Enum):
@@ -147,87 +149,19 @@ class Evaluator:
         return f"{type(self).__name__}(kind={self.kind}, trees={self.num_trees})"
 
 
-# -- heap_linked --------------------------------------------------------------
-
-class _BoxedInternal:
-    # Plain class, per-node dict, recursive virtual-style dispatch: the
-    # obvious object-graph implementation, kept naive on purpose.
-    def __init__(self, fid, threshold, left, right):
-        self.fid = fid
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-
-    def eval(self, x):
-        if x[self.fid] < self.threshold:
-            return self.left.eval(x)
-        return self.right.eval(x)
-
-
-class _BoxedLeaf:
-    def __init__(self, value):
-        self.value = value
-
-    def eval(self, x):
-        return self.value
-
-
-class HeapLinkedEvaluator(Evaluator):
-    kind = StrategyKind.HEAP_LINKED
-
-    def __init__(self, ensemble: Ensemble):
-        super().__init__(ensemble)
-
-        def copy(node: Node):
-            if node.is_leaf:
-                return _BoxedLeaf(node.value)
-            return _BoxedInternal(node.fid, node.threshold,
-                                  copy(node.left), copy(node.right))
-
-        self._trees = tuple((copy(t.root), w) for t, w in ensemble.trees)
-        self.stored_node_count = sum(t.node_count for t, _ in ensemble.trees)
-
-    def predict(self, x) -> float:
-        return self._accumulate(native.as_rows(x, self.num_features, 1))
-
-    def predict_batch(self, data) -> np.ndarray:
-        matrix = native.as_rows(data, self.num_features, 2)
-        out = np.empty(matrix.shape[0])
-        if len(self._trees) != 1:
-            accumulate = self._accumulate
-            for i in range(matrix.shape[0]):
-                out[i] = accumulate(matrix[i])
-            return out
-        # One tree: its root is bound once per call instead of once per
-        # row; the arithmetic (and hence the bits) is the same.
-        root, weight = self._trees[0]
-        evaluate = root.eval
-        for i in range(matrix.shape[0]):
-            # Added to 0.0 like every accumulation, so a -0.0 product
-            # scores 0.0, bit for bit.
-            out[i] = 0.0 + weight * evaluate(matrix[i])
-        return out
-
-    def _accumulate(self, x) -> float:
-        acc = 0.0
-        for root, weight in self._trees:
-            acc += weight * root.eval(x)
-        return acc
-
-
 # -- the native strategies -----------------------------------------------------
 
 class NativeEvaluator(Evaluator):
-    """A native kernel bound to its model: every strategy but ``heap_linked``.
+    """A native kernel bound to its model: every strategy.
 
     ``kernel`` is a binding of :mod:`treescore.native`.  Its ``predict``
     and ``predict_batch`` are this evaluator's, so a request runs no Python
     frame: the binding checks the input, scores it and allocates the
     output in C, and hands any input it cannot score as it is to
     :func:`treescore.native.as_rows`.  ``stored_node_count`` is the
-    number of table entries the kernel's model stores, and ``table_bytes``
-    the bytes of every array it points to (0 for ``generated``, whose
-    model is machine code).
+    number of table entries or node objects the kernel's model stores, and
+    ``table_bytes`` the bytes of every array and object it points to (0 for
+    ``generated``, whose model is machine code).
     """
 
     # A constant, kept because the benchmark in ``perfbench/`` reads it on
@@ -254,7 +188,7 @@ def build(ensemble: Ensemble, kind, batch_size: int | None = None) -> Evaluator:
     """Build an evaluator of the given kind from an ensemble.
 
     ``batch_size`` applies to (and is required by) ``vpredicated`` only.
-    Every kind but ``heap_linked`` runs native code and raises
+    Every kind runs native code and raises
     :class:`~treescore.codegen.CompilerNotFoundError` without a host
     compiler or the Python headers.  ``generated`` evaluators are built by
     :func:`treescore.codegen.build_generated`.
@@ -277,8 +211,6 @@ def build(ensemble: Ensemble, kind, batch_size: int | None = None) -> Evaluator:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     elif batch_size is not None:
         raise ValueError(f"batch_size does not apply to {kind.value}")
-    if kind is StrategyKind.HEAP_LINKED:
-        return HeapLinkedEvaluator(ensemble)
     kernel, entries, table_bytes = native.layout_kernel(
         ensemble, kind.value, batch_size or 1)
     return NativeEvaluator(kind, ensemble, kernel, entries, batch_size,

@@ -39,9 +39,8 @@ import numpy as np
 
 # Complete-tree strategies reject trees deeper than this: dummy-node
 # expansion costs 2^(d+1)-1 table entries per tree (65,535 internal slots at
-# depth 16).  compact_linked, contiguous and generated have no depth limit;
-# heap_linked recurses once per level, so it raises RecursionError past
-# about 1,000 levels (the interpreter's recursion limit).
+# depth 16).  heap_linked, compact_linked, contiguous and generated have no
+# depth limit.
 MAX_DEPTH = 16
 
 # Complete-tree strategies pack feature ids as uint16, so they reject

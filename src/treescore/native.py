@@ -1,20 +1,22 @@
-"""Native kernels for the four table strategies, the tables they walk, and
-the CPython binding every native strategy is called through.
+"""Native kernels for the five in-process strategies, the tables they walk,
+and the CPython binding every native strategy is called through.
 
-One fixed C source holds the kernels of ``compact_linked``, ``contiguous``
-and the predicated pair, and a small CPython extension, ``Kernel``, in the
-same translation unit.  It is built once per process with the compiler,
-flags and build step of :mod:`treescore.codegen` (plus the interpreter's
-C headers), and the loaded library is cached for the life of the process.
+One fixed C source holds the kernels of ``heap_linked``,
+``compact_linked``, ``contiguous`` and the predicated pair, and a small
+CPython extension, ``Kernel``, in the same translation unit.  It is built
+once per process with the compiler, flags and build step of
+:mod:`treescore.codegen` (plus the interpreter's C headers), and the
+loaded library is cached for the life of the process.
 That build step keeps the object in the per-user compile cache of
 :func:`~treescore.codegen.compile_shared_object`, so only the first
 process on a machine (per compiler and interpreter) runs the compiler;
 the others copy the object, and :func:`library_cache_hit` says which
 happened.
-Like ``generated``, the four strategies need a C compiler and the Python
+Like ``generated``, the five strategies need a C compiler and the Python
 headers: without either, :func:`load_layout_kernels` raises
 :class:`~treescore.codegen.CompilerNotFoundError`, and so does building
-any of them.
+any of them.  No strategy scores without them; only
+:func:`~treescore.model.reference_predict` does.
 
 This module owns every table format.  :func:`layout_kernel` packs an
 ensemble into the tables of one strategy and binds its kernel to them;
@@ -26,6 +28,14 @@ go right), and accumulates ``weight * leaf`` in double precision in tree
 order: the arithmetic of :func:`treescore.model.reference_predict`, so the
 scores are bit-identical to it.
 
+heap_linked
+    The naive object graph: one individually ``malloc``'d object per node,
+    of one of two types (an internal object holds its type pointer, feature
+    id, threshold and two child pointers, a leaf its type pointer and
+    value), allocated in depth-first post-order, tree after tree.  The walk
+    calls through every object's type for what it is and where to go next,
+    as virtual methods would, and loops, so depth has no limit.  The
+    objects are freed when the kernel object that owns them is collected.
 contiguous
     Breadth-first parallel arrays, concatenated over the trees: int32
     feature id (-1 marks a leaf), float32 threshold or leaf value, int32
@@ -63,8 +73,8 @@ input in C through the buffer protocol and releases the GIL around the
 kernel: a C-contiguous, native-order float32 row (or matrix of rows) of
 ``num_features`` is scored as it is, and ``predict_batch`` allocates its
 float64 scores by calling ``numpy.empty``.  Any other input goes through
-:func:`as_rows`, the coercion and checks of ``heap_linked``, so it gives
-the same scores and raises the same errors.
+:func:`as_rows`, which converts it or raises, so every input gives the
+same scores, or the same error, on every strategy.
 """
 
 from __future__ import annotations
@@ -248,6 +258,129 @@ int predicated_score(const void *bound, const float *x, int64_t n, double *out)
     }
     if (index != stack_index)
         free(index);
+    return 0;
+}
+
+/* heap_linked, the naive object graph.  Each node is an object of one of
+   two types, and the walk asks every object what it is and where to go
+   next through the function table its type pointer names, as a class
+   hierarchy with virtual is_leaf(), child() and value() would: two
+   indirect calls per level and two at the leaf.  That is how naive
+   object-oriented code walks a tree, so it is the shape kept, not the
+   one with the fewest calls. */
+
+typedef struct object {
+    const struct object_type *type;
+} object;
+
+typedef struct object_type {
+    int (*is_leaf)(const object *self);
+    const object *(*child)(const object *self, const float *row);
+    float (*value)(const object *self);
+} object_type;
+
+typedef struct {
+    object base;
+    int32_t fid;
+    float threshold;
+    const object *left;
+    const object *right;
+} internal_object;
+
+typedef struct {
+    object base;
+    float value;
+} leaf_object;
+
+/* In .text, gcc would place these functions, like the binding's, ahead
+   of the kernels, and so move every kernel (see the first one).  In a
+   section of their own they are linked after the rest of the code. */
+#define METHOD __attribute__((section(".text.heap_linked")))
+
+static METHOD
+int internal_is_leaf(const object *self)
+{
+    (void) self;
+    return 0;
+}
+
+static METHOD
+const object *internal_child(const object *self, const float *row)
+{
+    const internal_object *o = (const internal_object *) self;
+    if (row[o->fid] < o->threshold)
+        return o->left;
+    return o->right;
+}
+
+static METHOD
+int leaf_is_leaf(const object *self)
+{
+    (void) self;
+    return 1;
+}
+
+static METHOD
+float leaf_value(const object *self)
+{
+    return ((const leaf_object *) self)->value;
+}
+
+static const object_type internal_type = {internal_is_leaf, internal_child, NULL};
+static const object_type leaf_type = {leaf_is_leaf, NULL, leaf_value};
+
+/* One malloc per table entry, in table order, each of its own type's
+   size; children are linked by table index.  Returns the bytes of the
+   objects, or -1 (with nothing left allocated) when out of memory. */
+int64_t heap_build(const int32_t *fid, const float *value,
+                   const int32_t *left, const int32_t *right, int64_t count,
+                   void **nodes)
+{
+    int64_t bytes = 0;
+    for (int64_t k = 0; k < count; k++) {
+        const size_t size = fid[k] >= 0 ? sizeof(internal_object)
+                                        : sizeof(leaf_object);
+        nodes[k] = malloc(size);
+        if (nodes[k] == NULL) {
+            while (k > 0)
+                free(nodes[--k]);
+            return -1;
+        }
+        bytes += size;
+    }
+    for (int64_t k = 0; k < count; k++) {
+        if (fid[k] >= 0) {
+            internal_object *o = nodes[k];
+            o->base.type = &internal_type;
+            o->fid = fid[k];
+            o->threshold = value[k];
+            o->left = nodes[left[k]];
+            o->right = nodes[right[k]];
+        } else {
+            leaf_object *o = nodes[k];
+            o->base.type = &leaf_type;
+            o->value = value[k];
+        }
+    }
+    return bytes;
+}
+
+/* table: the root object of each tree */
+int heap_score(const void *bound, const float *x, int64_t n, double *out)
+{
+    const model *m = bound;
+    const object *const *roots = m->table[0];
+    for (int64_t i = 0; i < n; i++) {
+        const float *row = x + i * m->f;
+        double acc = 0.0;
+        for (int64_t t = 0; t < m->num_trees; t++) {
+            const object *p = roots[t];
+            while (!p->type->is_leaf(p))
+                p = p->type->child(p, row);
+            acc += m->weights[t] * (double) p->type->value(p);
+        }
+        out[i] = acc;
+    }
     return 0;
 }
 
@@ -491,9 +624,8 @@ def as_rows(data, num_features: int, ndim: int) -> np.ndarray:
     ``ndim`` 1 asks for one row of ``num_features`` values, ``ndim`` 2 for
     a matrix of such rows (a :class:`~treescore.data.Dataset` gives its
     matrix).  Raises ``ValueError`` for any other shape, and what numpy
-    raises for what it cannot convert.  ``heap_linked``'s ``predict`` and
-    ``predict_batch`` call it, and so does the binding for any input it
-    cannot score as it is.
+    raises for what it cannot convert.  The binding calls it for any input
+    it cannot score as it is.
     """
     if ndim == 1:
         x = np.ascontiguousarray(data, dtype=np.float32)
@@ -547,6 +679,8 @@ def _build_library(codegen) -> ctypes.CDLL:
     lib.compact_build.argtypes = [ptr] * 4 + [i64, ptr]
     lib.compact_free.restype = None
     lib.compact_free.argtypes = [ptr, i64]
+    lib.heap_build.restype = i64
+    lib.heap_build.argtypes = [ptr] * 4 + [i64, ptr]
     lib.node_size = ctypes.c_size_t.in_dll(lib, "node_size").value
     binding.setup(as_rows, np.empty)
     lib.Kernel = binding.Kernel
@@ -589,6 +723,7 @@ def function_address(function) -> int:
 TABLE_DTYPES = {
     "contiguous": tuple(map(np.dtype, (np.int32, np.float32, np.int32,
                                        np.int32, np.int32))),
+    "heap_linked": (np.dtype(np.uintp),),
     "compact_linked": (np.dtype(np.uintp),),
     "predicated": tuple(map(np.dtype, (np.uint16, np.float32, np.float32,
                                        np.int64, np.int64, np.int32))),
@@ -662,19 +797,28 @@ def _free_records(lib, nodes: np.ndarray) -> None:
     lib.compact_free(nodes.ctypes.data, nodes.shape[0])
 
 
-def _compact_roots(lib, fids, values, left, right, roots) -> np.ndarray:
-    """The root record of each tree, over one ``malloc``'d record per entry
-    of depth-first node tables, allocated in table order.
+def _linked_roots(lib, layout: str, fids, values, left, right, roots):
+    """The root object of each tree of linked ``layout``, and the bytes of
+    all its objects.
 
-    The records are freed when the returned array is collected.
+    One object is ``malloc``'d per entry of depth-first node tables, in
+    table order: a ``compact_linked`` record of ``sizeof(node)``, or a
+    ``heap_linked`` object of its own type's size.  The objects are freed
+    when the returned array is collected.
     """
-    nodes = np.zeros(fids.shape[0], dtype=np.uintp)
-    if lib.compact_build(fids.ctypes.data, values.ctypes.data, left.ctypes.data,
-                         right.ctypes.data, fids.shape[0], nodes.ctypes.data):
-        raise MemoryError("out of memory allocating compact_linked node records")
-    root_records = nodes[roots]
-    weakref.finalize(root_records, _free_records, lib, nodes)
-    return root_records
+    count = fids.shape[0]
+    nodes = np.zeros(count, dtype=np.uintp)
+    args = (fids.ctypes.data, values.ctypes.data, left.ctypes.data,
+            right.ctypes.data, count, nodes.ctypes.data)
+    if layout == "compact_linked":
+        size = -1 if lib.compact_build(*args) else count * lib.node_size
+    else:
+        size = lib.heap_build(*args)
+    if size < 0:
+        raise MemoryError(f"out of memory allocating {layout} node objects")
+    root_objects = nodes[roots]
+    weakref.finalize(root_objects, _free_records, lib, nodes)
+    return root_objects, size
 
 
 def _complete_tables(ensemble: Ensemble):
@@ -704,38 +848,40 @@ def _complete_tables(ensemble: Ensemble):
 
 
 def layout_kernel(ensemble: Ensemble, layout: str, v: int = 1):
-    """The kernel of table strategy ``layout`` bound to ``ensemble``.
+    """The kernel of in-process strategy ``layout`` bound to ``ensemble``.
 
-    ``layout`` is ``compact_linked``, ``contiguous``, ``predicated`` or
-    ``vpredicated``; ``v`` is the lanes per block of the predicated kernel.
-    Returns ``(kernel, entries, table_bytes)``: the number of table entries
-    the kernel's model stores, and the bytes of every array it points to,
-    the weights included and each ``compact_linked`` record counted at
-    ``sizeof(node)``.  Raises what :func:`load_layout_kernels` raises, and
+    ``layout`` is ``heap_linked``, ``compact_linked``, ``contiguous``,
+    ``predicated`` or ``vpredicated``; ``v`` is the lanes per block of the
+    predicated kernel.  Returns ``(kernel, entries, table_bytes)``: the
+    number of table entries or node objects the kernel's model stores, and
+    the bytes of every array and object it points to, the weights included,
+    each ``compact_linked`` record counted at ``sizeof(node)`` and each
+    ``heap_linked`` object at the ``sizeof`` of its type.  Raises what :func:`load_layout_kernels` raises, and
     for a predicated layout :class:`~treescore.model.FeatureLimitError`
     over a tree that splits on a feature id above
     :data:`~treescore.model.MAX_TABLE_FID` and
     :class:`~treescore.model.DepthLimitError` over a tree deeper than
     :data:`~treescore.model.MAX_DEPTH`.
     """
-    records = 0
+    objects = 0
     if layout in ("predicated", "vpredicated"):
         tables, entries = _complete_tables(ensemble)
         lib = load_layout_kernels()
         score = lib.predicated_score
-    elif layout in ("compact_linked", "contiguous"):
+    elif layout in ("heap_linked", "compact_linked", "contiguous"):
         tables = _pack_nodes(ensemble, breadth_first=layout == "contiguous")
         entries = tables[0].shape[0]
         lib = load_layout_kernels()
         if layout == "contiguous":
             score = lib.contiguous_score
         else:
-            tables = (_compact_roots(lib, *tables),)
-            score = lib.compact_score
-            records = entries * lib.node_size
+            root_objects, objects = _linked_roots(lib, layout, *tables)
+            tables = (root_objects,)
+            score = (lib.compact_score if layout == "compact_linked"
+                     else lib.heap_score)
     else:
         raise ValueError(f"no table layout named {layout!r}")
     weights = np.array([w for _, w in ensemble.trees], dtype=np.float64)
     kernel = _bind(lib, layout, score, ensemble.num_features, tables, weights, v)
-    table_bytes = sum(a.nbytes for a in tables) + weights.nbytes + records
+    table_bytes = sum(a.nbytes for a in tables) + weights.nbytes + objects
     return kernel, entries, table_bytes

@@ -82,13 +82,10 @@ class TestConfig:
                                   StrategyKind.PREDICATED)
 
 
-def assert_only_heap_linked_available(report, reason):
+def assert_every_row_unavailable(report, reason):
     for row in report.rows:
-        if row.strategy == "heap_linked":
-            assert row.available and len(row.trial_elapsed_ns) == 2
-        else:
-            assert not row.available and row.trial_elapsed_ns == []
-            assert reason in row.note
+        assert not row.available and row.trial_elapsed_ns == []
+        assert reason in row.note
     assert len(report.rows) == 6  # one vpredicated row, at v=4
 
 
@@ -145,7 +142,7 @@ class TestRunSweep:
         monkeypatch.setattr(native, "_LIBRARY", None)
         monkeypatch.setenv("PATH", "")
         monkeypatch.delenv("TREESCORE_CC", raising=False)
-        assert_only_heap_linked_available(run_sweep(small_cfg(
+        assert_every_row_unavailable(run_sweep(small_cfg(
             strategies=ALL_STRATEGIES)), "compiler")
 
     def test_native_strategies_marked_unavailable_without_python_headers(
@@ -153,7 +150,7 @@ class TestRunSweep:
         monkeypatch.setattr(native, "_LIBRARY", None)
         paths = dict(sysconfig.get_paths(), include=str(tmp_path))
         monkeypatch.setattr(sysconfig, "get_paths", lambda *args: paths)
-        assert_only_heap_linked_available(run_sweep(small_cfg(
+        assert_every_row_unavailable(run_sweep(small_cfg(
             strategies=ALL_STRATEGIES)), "Python.h")
 
     def test_metadata_present(self):

@@ -129,6 +129,7 @@ class TestBenchAndTune:
         for row in report.rows:
             assert len(row.trial_elapsed_ns) == 2
 
+    @requires_compiler
     def test_bench_generates_data_when_missing(self, tmp_path, model_path):
         out = tmp_path / "r.csv"
         code = run(["bench", "--model", str(model_path),
@@ -138,6 +139,7 @@ class TestBenchAndTune:
         report = parse_csv(out.read_text())
         assert report.rows[0].instances == 512
 
+    @requires_compiler
     def test_bench_sweep_small(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = run(["bench", "--sweep", "--strategies", "contiguous",
@@ -147,6 +149,7 @@ class TestBenchAndTune:
         # Default grid: 5 depths x 3 feature sizes.
         assert len(report.rows) == 15
 
+    @requires_compiler
     def test_bench_to_stdout(self, model_path, data_path, capsys):
         code = run(["bench", "--model", str(model_path), "--data",
                     str(data_path), "--strategies", "contiguous",
@@ -155,6 +158,7 @@ class TestBenchAndTune:
         captured = capsys.readouterr()
         assert captured.out.splitlines()[-1].startswith("contiguous")
 
+    @requires_compiler
     def test_bench_on_a_dataset_without_rows_is_a_data_error(
             self, tmp_path, model_path, capsys):
         data = tmp_path / "empty.fvec"
@@ -163,6 +167,7 @@ class TestBenchAndTune:
                     "--strategies", "heap_linked", "--trials", "2"]) == 2
         assert "no rows" in capsys.readouterr().err
 
+    @requires_compiler
     def test_bench_under_the_timer_resolution_is_a_data_error(
             self, tmp_path, model_path, monkeypatch, capsys):
         data = tmp_path / "tiny.fvec"
@@ -174,6 +179,7 @@ class TestBenchAndTune:
                     "--strategies", "heap_linked", "--trials", "2"]) == 2
         assert "instance count" in capsys.readouterr().err
 
+    @requires_compiler
     def test_timer_resolution_error_names_the_dataset(
             self, tmp_path, model_path, monkeypatch, capsys):
         data = tmp_path / "tiny.fvec"
@@ -189,6 +195,35 @@ class TestBenchAndTune:
                     "--strategies", "heap_linked", "--trials", "2"]) == 2
         err = capsys.readouterr().err
         assert "the generated dataset (--instances) has only 3 rows" in err
+
+    @pytest.mark.parametrize("missing", ["compiler", "headers"])
+    def test_bench_and_tune_without_native_code_are_env_errors(
+            self, tmp_path, model_path, data_path, monkeypatch, capsys,
+            missing):
+        # No strategy can be built, so there is no report to print.
+        monkeypatch.setattr(native, "_LIBRARY", None)
+        if missing == "compiler":
+            monkeypatch.setenv("PATH", "")
+            monkeypatch.delenv("TREESCORE_CC", raising=False)
+            text = "no C compiler found on PATH"
+        else:
+            paths = dict(sysconfig.get_paths(), include=str(tmp_path))
+            monkeypatch.setattr(sysconfig, "get_paths", lambda *args: paths)
+            text = f"no Python.h in {tmp_path}"
+        out = tmp_path / "r.csv"
+        model, data = str(model_path), str(data_path)
+        for argv in (["bench", "--model", model, "--data", data],
+                     ["bench", "--model", model, "--strategies", "heap_linked",
+                      "--instances", "64"],
+                     ["bench", "--sweep", "--strategies", "heap_linked",
+                      "--instances", "64"],
+                     ["tune", "--model", model, "--data", data]):
+            capsys.readouterr()
+            assert run(argv + ["--out", str(out)]) == 3, argv
+            captured = capsys.readouterr()
+            assert text in captured.err, argv
+            assert captured.out == "", argv
+        assert not out.exists()
 
     @requires_compiler
     def test_tune(self, tmp_path, model_path, data_path, capsys):

@@ -89,7 +89,7 @@ class TestBuild:
         with pytest.raises(ValueError):
             build(ens, "no_such_kind")
         with pytest.raises(ValueError, match="no table layout"):
-            native.layout_kernel(ens, "heap_linked")
+            native.layout_kernel(ens, "generated")
 
     @requires_compiler
     def test_kind_accepts_string_names(self):
@@ -286,21 +286,27 @@ class TestStorage:
         contiguous = 6 * 4 * 4 + 2 * 4 + weights
         # A pointer to each root and a 24-byte record per node.
         compact = 2 * 8 + 6 * 24 + weights
+        # A pointer to each root, a 32-byte object per internal node (type
+        # pointer, fid, threshold, two children) and a 16-byte one per leaf
+        # (type pointer, value).
+        heap = 2 * 8 + 2 * 32 + 4 * 16 + weights
         # uint16 fid and float32 theta per internal entry, float32 leaves;
         # per tree two int64 offsets and an int32 depth.
         complete = 3 * (2 + 4) + 5 * 4 + 2 * (8 + 8 + 4) + weights
         for kind, v, want in ((StrategyKind.CONTIGUOUS, None, contiguous),
                               (StrategyKind.COMPACT_LINKED, None, compact),
+                              (StrategyKind.HEAP_LINKED, None, heap),
                               (StrategyKind.PREDICATED, None, complete),
                               (StrategyKind.VPREDICATED, 4, complete)):
             assert build(ens, kind, v).table_bytes == want, kind
         assert codegen.build_generated(ens).table_bytes == 0
 
 
-LINKED_LAYOUTS = ((StrategyKind.COMPACT_LINKED, None),
+LINKED_LAYOUTS = ((StrategyKind.HEAP_LINKED, None),
+                  (StrategyKind.COMPACT_LINKED, None),
                   (StrategyKind.CONTIGUOUS, None))
-# The four table strategies with native kernels; v = 300 is above the 256
-# lanes the lockstep kernel keeps on the stack.
+# The five in-process strategies; v = 300 is above the 256 lanes the
+# lockstep kernel keeps on the stack.
 TABLE_BUILDS = LINKED_LAYOUTS + ((StrategyKind.PREDICATED, None),) + tuple(
     (StrategyKind.VPREDICATED, v) for v in (1, 3, 16, 300))
 
@@ -378,9 +384,11 @@ class TestLayoutKernels:
         assert_layouts_match_reference(ens, X)
 
     def test_very_deep_chain(self):
-        ens = Ensemble(2, [(chain_tree(3000), 0.5)])
+        # Past the interpreter's recursion limit: every linked walk loops.
         X = np.array([[0.0, 0.0], [1e-4, 0.0], [0.9, 0.0]], dtype=np.float32)
-        assert_layouts_match_reference(ens, X, LINKED_LAYOUTS)
+        for depth in (1500, 3000):
+            ens = Ensemble(2, [(chain_tree(depth), 0.5)])
+            assert_layouts_match_reference(ens, X, LINKED_LAYOUTS)
 
     def test_max_depth_tree(self):
         # A depth-16 chain (131,071 complete-table entries) whose thresholds
@@ -489,7 +497,7 @@ class TestLayoutKernels:
 
 
 def native_evaluators(ens):
-    """One evaluator of each of the five native strategies, by name."""
+    """One evaluator of each of the six strategies, by name."""
     evaluators = {str(kind): build(ens, kind, v) for kind, v in (
         LINKED_LAYOUTS + ((StrategyKind.PREDICATED, None),
                           (StrategyKind.VPREDICATED, 16)))}
@@ -568,23 +576,39 @@ BATCH_INPUTS = {
 }
 
 
+class PythonOracle:
+    """``predict`` and ``predict_batch`` in Python: the coercion and checks
+    of :func:`treescore.native.as_rows`, then the reference traversal."""
+
+    def __init__(self, ensemble):
+        self.ensemble = ensemble
+
+    def predict(self, x):
+        return reference_predict(
+            self.ensemble, native.as_rows(x, self.ensemble.num_features, 1))
+
+    def predict_batch(self, data):
+        return reference_batch(
+            self.ensemble, native.as_rows(data, self.ensemble.num_features, 2))
+
+
 @requires_compiler
 class TestNativeRequests:
-    """``predict`` and ``predict_batch`` of the binding against the Python
-    path of ``heap_linked``: the same bits, or the same error."""
+    """``predict`` and ``predict_batch`` of the binding against
+    :class:`PythonOracle`: the same bits, or the same error."""
 
     @pytest.fixture(scope="class")
     def case(self):
         rng = np.random.default_rng(41)
         ens = random_ensemble(rng, 8, 6, 6)
         X = random_matrix(rng, 13, 8)
-        return ens, X, build(ens, StrategyKind.HEAP_LINKED), native_evaluators(ens)
+        return ens, X, PythonOracle(ens), native_evaluators(ens)
 
     @pytest.mark.parametrize("name", ROW_INPUTS)
     def test_predict(self, case, name):
-        ens, X, heap, evaluators = case
+        ens, X, oracle, evaluators = case
         x = ROW_INPUTS[name](X)
-        expected = outcome(heap.predict, x)
+        expected = outcome(oracle.predict, x)
         for kind, ev in evaluators.items():
             assert outcome(ev.predict, x) == expected, kind
         if name in ("float32", "float64", "fortran-order", "strided",
@@ -593,9 +617,9 @@ class TestNativeRequests:
 
     @pytest.mark.parametrize("name", BATCH_INPUTS)
     def test_predict_batch(self, case, name):
-        ens, X, heap, evaluators = case
+        ens, X, oracle, evaluators = case
         data = BATCH_INPUTS[name](X)
-        expected = outcome(heap.predict_batch, data)
+        expected = outcome(oracle.predict_batch, data)
         for kind, ev in evaluators.items():
             assert outcome(ev.predict_batch, data) == expected, kind
         if name in ("float32", "float64", "fortran-order", "strided",
@@ -638,7 +662,8 @@ class TestNativeRequests:
                 assert alive() is None, kind
         finally:
             gc.enable()
-        assert freed == [sum(t.node_count for t, _ in ens.trees)]
+        # The heap_linked objects, then the compact_linked records.
+        assert freed == [sum(t.node_count for t, _ in ens.trees)] * 2
 
 
 class TestLayoutKernelResources:
@@ -661,9 +686,8 @@ class TestLayoutKernelResources:
         for kind, v in TABLE_BUILDS:
             with pytest.raises(codegen.CompilerNotFoundError):
                 build(ens, kind, v)
-        X = random_matrix(np.random.default_rng(34), 20, 2)
-        heap = build(ens, StrategyKind.HEAP_LINKED)
-        assert np.array_equal(heap.predict_batch(X), reference_batch(ens, X))
+        with pytest.raises(codegen.CompilerNotFoundError):
+            codegen.build_generated(ens)
 
     @requires_compiler
     def test_failed_build_raises_compilation_error(self, monkeypatch):
@@ -710,7 +734,7 @@ class TestLayoutKernelResources:
                 build(ens, kind, v)
 
     @requires_compiler
-    def test_compact_records_freed_with_evaluator(self, monkeypatch):
+    def test_linked_objects_freed_with_evaluator(self, monkeypatch):
         freed = []
         release = native._free_records
 
@@ -719,12 +743,13 @@ class TestLayoutKernelResources:
             release(lib, nodes)
 
         monkeypatch.setattr(native, "_free_records", spy)
-        ev = build(Ensemble(2, [chain_tree(5), chain_tree(2)]),
-                   StrategyKind.COMPACT_LINKED)
-        assert ev.stored_node_count == 16
-        del ev
-        gc.collect()
-        assert freed == [16]
+        for kind in (StrategyKind.HEAP_LINKED, StrategyKind.COMPACT_LINKED):
+            freed.clear()
+            ev = build(Ensemble(2, [chain_tree(5), chain_tree(2)]), kind)
+            assert ev.stored_node_count == 16
+            del ev
+            gc.collect()
+            assert freed == [16], kind
 
 
 class TestTracing:
