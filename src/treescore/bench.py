@@ -31,7 +31,9 @@ CSV layout (also parsed back by :func:`parse_csv`)::
 with one row per trial, aggregate rows using ``trial=mean`` and
 ``trial=ci95``, unavailable strategies marked with ``trial=unavailable``,
 and environment metadata in leading ``#`` comment lines.  Among them,
-``compile_cache`` names the compile cache's directory (or ``off``) and
+``compiler_flags`` and ``generated_flags`` are the optimisation flags of
+the layout-kernel library and of ``generated`` units,
+``compile_cache`` names the compile cache's directory (or ``off``), and
 ``layout_kernels_build`` says whether the process compiled its
 layout-kernel library, copied it from that cache, or never built it.
 """
@@ -49,7 +51,7 @@ import numpy as np
 
 from . import native
 from .codegen import (CompilerNotFoundError, build_generated, cache_dir,
-                      find_compiler, OPT_FLAGS)
+                      find_compiler, GENERATED_FLAGS, OPT_FLAGS)
 from .data import Dataset
 from .evaluators import (
     ALL_STRATEGIES,
@@ -213,6 +215,7 @@ def collect_environment() -> dict:
         "numpy": np.__version__,
         "compiler": compiler or "unavailable",
         "compiler_flags": " ".join(OPT_FLAGS),
+        "generated_flags": " ".join(GENERATED_FLAGS),
         "compile_cache": str(cache_dir() or "off"),
         "layout_kernels_build": _LIBRARY_BUILDS[native.library_cache_hit()],
         "timer_resolution_ns": str(_TIMER_RESOLUTION_NS),

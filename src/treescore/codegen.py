@@ -13,12 +13,15 @@ diffable.  Float constants are written as C99 hex literals, which are
 exact, keeping the compiled scorer bit-identical to the in-process
 strategies.
 
-``compile_and_load`` shells out to the host C compiler at full
-optimization (through ``compile_shared_object``, which the native layout
-kernels of :mod:`treescore.native` share), loads the shared object, and
-binds its entry point.  ``compile_shared_object`` keeps every object it
-builds in a per-user cache (:func:`cache_dir`), keyed by the source and
-the toolchain, so a process that builds a source some process on the
+``compile_and_load`` shells out to the host C compiler at
+:data:`GENERATED_FLAGS` (through ``compile_shared_object``, which the
+native layout kernels of :mod:`treescore.native` share at
+:data:`OPT_FLAGS`), loads the shared object, and binds its entry point.
+A unit is compiled at ``-O1``: a large ensemble compiles in about half the
+time it takes at ``-O3``, and the nested branches it compiles to run as
+fast.  ``compile_shared_object`` keeps every object it builds in a
+per-user cache (:func:`cache_dir`), keyed by the source and the toolchain
+(flags included), so a process that builds a source some process on the
 same machine already built copies the object instead of compiling.
 :class:`GeneratedEvaluator` is the
 :class:`~treescore.evaluators.NativeEvaluator` over that binding, so its
@@ -60,7 +63,12 @@ from .evaluators import NativeEvaluator, StrategyKind
 from .model import Ensemble, Node
 
 COMPILER_ENV_VAR = "TREESCORE_CC"
-OPT_FLAGS = ("-O3", "-fomit-frame-pointer", "-pipe")
+# The layout-kernel library is compiled at OPT_FLAGS, each generated unit
+# at GENERATED_FLAGS.  -ffp-contract=off keeps ``acc += w * v`` a multiply
+# and an add, as in the reference traversal, on targets whose compilers
+# would fuse them.
+OPT_FLAGS = ("-O3", "-fomit-frame-pointer", "-pipe", "-ffp-contract=off")
+GENERATED_FLAGS = ("-O1", "-fomit-frame-pointer", "-pipe", "-ffp-contract=off")
 LINK_FLAGS = ("-shared", "-fPIC")
 # The compile cache keeps at most this many bytes of objects; the least
 # recently used go first.
@@ -170,7 +178,8 @@ class GeneratedUnit:
 
     ``kernel`` is the unit's entry point bound through
     :mod:`treescore.native`, whose ``predict(x)`` and
-    ``predict_batch(data)`` take what an evaluator takes.  ``compile_s``
+    ``predict_batch(data)`` take what an evaluator takes.  ``flags`` are
+    the optimisation flags ``lib_path`` was compiled at.  ``compile_s``
     is the wall time of building ``lib_path``, and ``cache_hit`` says
     whether it was copied from the compile cache rather than compiled
     (then ``compile_s`` is a few milliseconds).  A workdir the
@@ -305,10 +314,12 @@ def _evict(directory: Path) -> None:
 
 
 def compile_shared_object(source: str, workdir: Path, *,
+                          opt_flags: tuple | None = None,
                           include_dirs: tuple = ()) -> tuple[Path, bool]:
     """Write ``source`` to ``workdir/scorer.c`` and build ``scorer.so`` there.
 
-    Compiles at :data:`OPT_FLAGS`, searching ``include_dirs`` for headers,
+    Compiles at ``opt_flags`` (by default :data:`OPT_FLAGS`, read at call
+    time), searching ``include_dirs`` for headers,
     and returns the shared object's path and whether it came from the
     compile cache.  The cache (:func:`cache_dir`) is keyed by a sha256 of
     the source, the resolved compiler and its ``--version``, the flags,
@@ -328,7 +339,9 @@ def compile_shared_object(source: str, workdir: Path, *,
     src_path = workdir / "scorer.c"
     lib_path = workdir / "scorer.so"
     src_path.write_text(source, encoding="utf-8")
-    flags = [*OPT_FLAGS, *LINK_FLAGS, *(f"-I{d}" for d in include_dirs)]
+    if opt_flags is None:
+        opt_flags = OPT_FLAGS
+    flags = [*opt_flags, *LINK_FLAGS, *(f"-I{d}" for d in include_dirs)]
     entry = _cache_entry(compiler, flags, source)
     if entry is not None:
         try:
@@ -355,7 +368,8 @@ def compile_shared_object(source: str, workdir: Path, *,
 
 
 def compile_and_load(source: str, workdir=None) -> GeneratedUnit:
-    """Compile C ``source`` into a shared object and bind its entry point.
+    """Compile C ``source`` at :data:`GENERATED_FLAGS` into a shared object
+    and bind its entry point.
 
     Raises :class:`CompilerNotFoundError` when no compiler is discoverable
     or the binding of :mod:`treescore.native` (built with the discovered
@@ -373,8 +387,10 @@ def compile_and_load(source: str, workdir=None) -> GeneratedUnit:
         else Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    lib_path, cache_hit = compile_shared_object(source, workdir)
-    return GeneratedUnit(source, workdir, lib_path, compiler, OPT_FLAGS,
+    flags = GENERATED_FLAGS
+    lib_path, cache_hit = compile_shared_object(source, workdir,
+                                                opt_flags=flags)
+    return GeneratedUnit(source, workdir, lib_path, compiler, flags,
                          owns_workdir, compile_s=time.perf_counter() - start,
                          cache_hit=cache_hit)
 

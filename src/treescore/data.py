@@ -1,17 +1,23 @@
 """Packed feature-vector datasets and their on-disk formats.
 
-A feature vector is a dense array of ``f`` finite 32-bit floats; a dataset
-is a row-major ``n x f`` float32 matrix, one vector per row.  The binary
-FVEC format is::
+A feature vector is a dense array of ``f`` 32-bit floats; a dataset is a
+row-major ``n x f`` float32 matrix, one vector per row.  Any float32 is a
+feature value, NaN and +-inf included: every strategy scores them like the
+reference traversal (a NaN fails ``x[fid] < theta`` and goes right), so a
+dataset holds them as they are.  The binary FVEC format is::
 
     magic "FVEC" | u32 count | u32 num_features | count*f float32, row-major
 
-all little-endian.  A one-row-per-line CSV import/export is provided for
+all little-endian.  :func:`read_fvec` checks the payload's length against
+the header before it allocates the matrix, and reads the payload straight
+into it.  A one-row-per-line CSV import/export is provided for
 convenience.
 """
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 
 import numpy as np
@@ -33,10 +39,6 @@ class Dataset:
         m = np.ascontiguousarray(matrix, dtype=np.float32)
         if m.ndim != 2:
             raise ValueError(f"dataset must be 2-D, got shape {m.shape}")
-        # min and max are NaN or infinite iff some value is, and unlike
-        # isfinite they allocate nothing the size of the matrix.
-        if m.size and not (np.isfinite(m.min()) and np.isfinite(m.max())):
-            raise ValueError("dataset contains non-finite values")
         self.matrix = m
 
     @property
@@ -58,9 +60,19 @@ class Dataset:
 
 
 def write_fvec(path, dataset: Dataset) -> None:
+    # A no-op on little-endian hosts: the rows are written from the
+    # dataset's own buffer.
+    matrix = np.ascontiguousarray(dataset.matrix, dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(FVEC_MAGIC, dataset.count, dataset.num_features))
-        fh.write(np.ascontiguousarray(dataset.matrix, dtype="<f4").tobytes())
+        fh.write(matrix.data)
+
+
+def _check_payload(size: int, expected: int) -> None:
+    if size != expected:
+        raise DataFormatError(
+            f"FVEC payload is {size} bytes, expected {expected}"
+        )
 
 
 def read_fvec(path) -> Dataset:
@@ -71,17 +83,23 @@ def read_fvec(path) -> Dataset:
         magic, count, f = _HEADER.unpack(header)
         if magic != FVEC_MAGIC:
             raise DataFormatError(f"bad magic {magic!r}, expected {FVEC_MAGIC!r}")
-        payload = fh.read()
-    expected = count * f * 4
-    if len(payload) != expected:
-        raise DataFormatError(
-            f"FVEC payload is {len(payload)} bytes, expected {expected}"
-        )
-    matrix = np.frombuffer(payload, dtype="<f4").reshape(count, f)
-    try:
-        return Dataset(matrix)
-    except ValueError as exc:
-        raise DataFormatError(str(exc)) from exc
+        expected = count * f * 4
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode):
+            # A header that promises more than the file holds fails here,
+            # before the matrix it describes is allocated.
+            _check_payload(st.st_size - fh.tell(), expected)
+            matrix = np.empty((count, f), dtype="<f4")
+            # Checked again, as the file may have changed since fstat.
+            _check_payload(fh.readinto(matrix) + len(fh.read()), expected)
+        else:
+            # A pipe has no size to check first: read what it holds.
+            payload = fh.read()
+            _check_payload(len(payload), expected)
+            matrix = np.frombuffer(payload, dtype="<f4").reshape(count, f)
+    # Dataset converts the little-endian rows to native order, a no-op on
+    # little-endian hosts.
+    return Dataset(matrix)
 
 
 def write_csv(path, dataset: Dataset) -> None:
@@ -100,7 +118,4 @@ def read_csv(path, num_features: int | None = None) -> Dataset:
         raise DataFormatError(
             f"CSV rows have {matrix.shape[1]} values, expected {num_features}"
         )
-    try:
-        return Dataset(matrix)
-    except ValueError as exc:
-        raise DataFormatError(str(exc)) from exc
+    return Dataset(matrix)

@@ -33,6 +33,7 @@ from treescore import (
 )
 from treescore import bench as bench_mod, native
 from treescore.bench import CSV_HEADER, _correctness_gate, _timed_pass
+from treescore.codegen import GENERATED_FLAGS, OPT_FLAGS
 from treescore.synth import GenConfig, gen_leaf_uniform_vectors, gen_tree
 
 from conftest import random_ensemble, requires_compiler
@@ -157,6 +158,8 @@ class TestRunSweep:
         report = run_sweep(small_cfg())
         for key in ("cpu", "python", "numpy", "date", "timer_resolution_ns"):
             assert key in report.metadata
+        assert report.metadata["compiler_flags"] == " ".join(OPT_FLAGS)
+        assert report.metadata["generated_flags"] == " ".join(GENERATED_FLAGS)
 
 
 class TestRunFixed:

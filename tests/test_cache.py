@@ -112,6 +112,31 @@ def test_source_flags_and_compiler_are_in_the_key(monkeypatch, cache,
     assert len(entries(cache)) == 4
 
 
+def test_generated_and_library_flags_key_entries_apart(monkeypatch, cache,
+                                                        tmp_path, compiles):
+    native.load_layout_kernels()  # the binding a unit is called through
+    before = len(entries(cache))
+    source = codegen.emit_source(random_ensemble(np.random.default_rng(44),
+                                                 6, 3, 4))
+    unit = codegen.compile_and_load(source)
+    assert unit.flags == codegen.GENERATED_FLAGS and not unit.cache_hit
+    assert compiles[-1][1:1 + len(unit.flags)] == list(unit.flags)
+    # The same source at the library's flags is another entry.
+    assert not compile_in(tmp_path, source)
+    assert codegen.compile_and_load(source).cache_hit
+    assert compile_in(tmp_path, source)
+
+    # Changing either set of flags leaves the other's entry valid.
+    monkeypatch.setattr(codegen, "GENERATED_FLAGS",
+                        (*codegen.GENERATED_FLAGS, "-g0"))
+    assert not codegen.compile_and_load(source).cache_hit
+    assert compile_in(tmp_path, source)
+    monkeypatch.setattr(codegen, "OPT_FLAGS", ("-O2",))
+    assert not compile_in(tmp_path, source)
+    assert codegen.compile_and_load(source).cache_hit
+    assert len(entries(cache)) == before + 4
+
+
 def test_failed_compile_stores_nothing(monkeypatch, cache, tmp_path):
     monkeypatch.setenv(codegen.COMPILER_ENV_VAR, "false")
     with pytest.raises(codegen.CompilationError):

@@ -9,6 +9,7 @@ from treescore import (MAX_TABLE_FID, Dataset, Ensemble, Node, Tree, native,
                        parse_csv, read_csv, read_fvec, save_model, write_fvec)
 from treescore import bench as bench_mod
 from treescore.cli import main
+from treescore.codegen import GENERATED_FLAGS
 
 from conftest import requires_compiler
 
@@ -276,10 +277,13 @@ class TestCodegenCommand:
         assert not (outdir / "scorer.so").exists()
 
     @requires_compiler
-    def test_compile_removes_source_unless_kept(self, tmp_path, model_path):
+    def test_compile_removes_source_unless_kept(self, tmp_path, model_path,
+                                                capsys):
         outdir = tmp_path / "gen1"
         assert run(["codegen", "--model", str(model_path), "--out",
                     str(outdir), "--compile"]) == 0
+        # The unit names the flags it was compiled at.
+        assert " ".join(GENERATED_FLAGS) in capsys.readouterr().out
         assert (outdir / "scorer.so").exists()
         assert not (outdir / "scorer.c").exists()
 

@@ -1,6 +1,8 @@
 """C emission, compilation, loading, and differential equivalence."""
 
 import gc
+import platform
+import shutil
 import subprocess
 import sysconfig
 
@@ -19,6 +21,7 @@ from treescore import (
     reference_batch,
 )
 from treescore.codegen import (
+    GENERATED_FLAGS,
     MAX_INDENT,
     OPT_FLAGS,
     CompilationError,
@@ -34,17 +37,53 @@ from conftest import chain_tree, random_ensemble, random_matrix, requires_compil
 @requires_compiler
 @pytest.mark.parametrize("unit", ["layout-kernels", "generated"])
 def test_sources_compile_without_warnings(tmp_path, unit):
+    """Each unit compiles cleanly at the flags it ships with."""
+    source, flags = compiled_unit(unit)
+    compile_object(tmp_path, source, [*flags, "-Wall", "-Wextra", "-Werror"])
+
+
+def compiled_unit(unit):
+    """The source of ``unit`` and the optimisation flags it is built at."""
     if unit == "layout-kernels":
-        source = native._SOURCE
-    else:
-        source = emit_source(random_ensemble(np.random.default_rng(9), 8, 3, 4))
+        return native._SOURCE, OPT_FLAGS
+    source = emit_source(random_ensemble(np.random.default_rng(9), 8, 3, 4))
+    return source, GENERATED_FLAGS
+
+
+def compile_object(tmp_path, source, flags):
+    """Compile ``source`` with ``flags`` to an object file; its path."""
     path = tmp_path / "unit.c"
     path.write_text(source, encoding="utf-8")
-    cmd = [find_compiler(), *OPT_FLAGS, "-Wall", "-Wextra", "-Werror", "-fPIC",
-           f"-I{sysconfig.get_paths()['include']}", "-c", "-o",
-           str(tmp_path / "unit.o"), str(path)]
+    obj = tmp_path / "unit.o"
+    cmd = [find_compiler(), *flags, "-fPIC",
+           f"-I{sysconfig.get_paths()['include']}", "-c", "-o", str(obj),
+           str(path)]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    return obj
+
+
+@requires_compiler
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64")
+                    or shutil.which("objdump") is None,
+                    reason="needs an x86-64 target with FMA and objdump")
+@pytest.mark.parametrize("unit", ["layout-kernels", "generated"])
+def test_no_fused_multiply_add_on_fma_targets(tmp_path, unit):
+    """Built for a CPU with FMA, neither unit fuses ``acc += w * v``: a
+    fused multiply-add rounds once, where the reference traversal rounds
+    the product and the sum apart."""
+    source, flags = compiled_unit(unit)
+
+    def fused(flags):
+        obj = compile_object(tmp_path, source, [*flags, "-mfma"])
+        proc = subprocess.run(["objdump", "-d", str(obj)],
+                              capture_output=True, text=True, check=True)
+        return proc.stdout.count("vfmadd")
+
+    assert fused(flags) == 0
+    if unit == "layout-kernels":
+        # The check can fail: at -O3 without the flag, the compiler fuses.
+        assert fused([f for f in flags if f != "-ffp-contract=off"]) > 0
 
 
 class TestEmission:
