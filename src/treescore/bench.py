@@ -65,6 +65,9 @@ from .synth import GenConfig, gen_leaf_uniform_vectors, gen_tree
 
 CSV_HEADER = "strategy,depth,features,batch,trial,elapsed_ns,instances,ns_per_instance"
 
+# The vpredicated batch sizes a benchmark or tuning run measures by default.
+DEFAULT_BATCH_SIZES = (1, 8, 16, 32, 64)
+
 _PREDICATED_KINDS = (StrategyKind.PREDICATED, StrategyKind.VPREDICATED)
 
 
@@ -87,7 +90,7 @@ class BenchConfig:
     strategies: tuple = ALL_STRATEGIES
     depths: tuple = (3, 5, 7, 9, 11)
     feature_sizes: tuple = (32, 128, 512)
-    batch_sizes: tuple = (1, 8, 16, 32, 64)
+    batch_sizes: tuple = DEFAULT_BATCH_SIZES
     instances: int = 524288
     trials: int = 5
     seed: int = 0
@@ -339,7 +342,7 @@ def run_sweep(cfg: BenchConfig, progress=None) -> BenchReport:
 
 
 def run_fixed(ensemble: Ensemble, data: Dataset, strategies=ALL_STRATEGIES,
-              batch_sizes=(1, 8, 16, 32, 64), trials: int = 5,
+              batch_sizes=DEFAULT_BATCH_SIZES, trials: int = 5,
               warmup: bool = True, progress=None,
               data_name: str = "the dataset") -> BenchReport:
     """Benchmark a fixed model on a fixed dataset (no regeneration).

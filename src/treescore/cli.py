@@ -28,7 +28,6 @@ from .evaluators import ALL_STRATEGIES, StrategyKind
 from .model import ModelError, load_model, save_model, tree_stats
 from .synth import GenConfig, GenerationError, gen_ensemble, gen_leaf_uniform_vectors
 
-DEFAULT_BATCHES = (1, 8, 16, 32, 64)
 DEFAULT_INSTANCES = BenchConfig.instances
 
 
@@ -138,19 +137,11 @@ def _resolve_bench_strategies(args):
     if args.batch is not None:
         batches = _parse_int_list(args.batch, "--batch")
     elif is_all or StrategyKind.VPREDICATED not in strategies:
-        batches = DEFAULT_BATCHES
+        batches = bench_mod.DEFAULT_BATCH_SIZES
     else:
         raise UsageError("--batch is required when --strategies names "
                          "vpredicated explicitly")
     return strategies, batches
-
-
-def _require_kernels() -> None:
-    """Raise :class:`CompilerNotFoundError` (exit 3) when no strategy can
-    be built: every one is scored through the binding compiled with the
-    layout kernels, so without a compiler or the Python headers a report
-    would hold nothing but unavailable rows."""
-    native.load_layout_kernels()
 
 
 def _cmd_bench(args) -> int:
@@ -165,7 +156,10 @@ def _cmd_bench(args) -> int:
     if not args.sweep and args.data and args.instances is not None:
         raise UsageError("--instances applies without --data; the "
                          "dataset's rows are the instances")
-    _require_kernels()
+    # Every strategy is scored through the binding compiled with the layout
+    # kernels: without a compiler or the Python headers a report would hold
+    # nothing but unavailable rows, so raise CompilerNotFoundError (exit 3).
+    native.load_layout_kernels()
     if args.sweep:
         cfg = BenchConfig(strategies=strategies, batch_sizes=batches,
                           instances=instances, trials=args.trials,
@@ -206,7 +200,7 @@ def _cmd_tune(args) -> int:
     ensemble = load_model(args.model)
     dataset = _load_dataset(args.data, ensemble.num_features)
     batches = _parse_int_list(args.batches, "--batches")
-    _require_kernels()
+    native.load_layout_kernels()    # exit 3 without it, as in _cmd_bench
     report = bench_mod.run_fixed(ensemble, dataset,
                                  strategies=(StrategyKind.VPREDICATED,),
                                  batch_sizes=batches, progress=_progress)
@@ -254,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "workloads, and a timing harness.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
+    default_batches = ",".join(map(str, bench_mod.DEFAULT_BATCH_SIZES))
 
     p = sub.add_parser("gen-model", help="generate a random complete-tree model")
     p.add_argument("--depth", type=int, required=True, help="tree depth d >= 0")
@@ -297,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of strategies, or 'all' (default)")
     p.add_argument("--batch",
                    help="comma list of batch sizes for vpredicated "
-                        "(default 1,8,16,32,64 with --strategies all; "
+                        f"(default {default_batches} with --strategies all; "
                         "required when vpredicated is named explicitly)")
     p.add_argument("--trials", type=int, default=5,
                    help="timing trials per configuration (default 5)")
@@ -313,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep vpredicated batch sizes on a fixed model")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--batches", default="1,8,16,32,64",
-                   help="comma list of batch sizes (default 1,8,16,32,64)")
+    p.add_argument("--batches", default=default_batches,
+                   help=f"comma list of batch sizes (default {default_batches})")
     p.add_argument("--out", help="write the curve CSV here instead of stdout")
     p.set_defaults(func=_cmd_tune)
 

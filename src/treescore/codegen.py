@@ -24,7 +24,7 @@ per-user cache (:func:`cache_dir`), keyed by the source and the toolchain
 (flags included), so a process that builds a source some process on the
 same machine already built copies the object instead of compiling.
 :class:`GeneratedEvaluator` is the
-:class:`~treescore.evaluators.NativeEvaluator` over that binding, so its
+:class:`~treescore.evaluators.Evaluator` over that binding, so its
 ``predict`` and ``predict_batch`` are the binding's own and a request runs
 no Python code unless its input needs coercing; the model lives in machine
 code, so it stores no table.  The compiler is
@@ -59,7 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from . import native
-from .evaluators import NativeEvaluator, StrategyKind
+from .evaluators import Evaluator, StrategyKind
 from .model import Ensemble, Node
 
 COMPILER_ENV_VAR = "TREESCORE_CC"
@@ -395,7 +395,7 @@ def compile_and_load(source: str, workdir=None) -> GeneratedUnit:
                          cache_hit=cache_hit)
 
 
-class GeneratedEvaluator(NativeEvaluator):
+class GeneratedEvaluator(Evaluator):
     """The evaluator over a compiled unit, interchangeable with the rest."""
 
     def __init__(self, ensemble: Ensemble, unit: GeneratedUnit):

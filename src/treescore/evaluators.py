@@ -1,8 +1,8 @@
-"""The in-process evaluation strategies behind one Evaluator interface.
+"""The in-process evaluation strategies, each built as one Evaluator.
 
 Six strategy kinds exist; five are built here and the sixth (``generated``,
-compiled from emitted C) lives in :mod:`treescore.codegen` but satisfies the
-same interface.  All strategies are built from the same
+compiled from emitted C) lives in :mod:`treescore.codegen` and is an
+Evaluator too.  All strategies are built from the same
 :class:`~treescore.model.Ensemble`, share the split rule (go left only
 when ``x < threshold``, so ties and NaN go right), narrow node data to
 float32, and accumulate scores in float64 in tree order, so their outputs
@@ -38,7 +38,7 @@ dispatch, object size, layout, branches and lockstep rather than the
 interpreter; predicated is the lockstep kernel with one lane.
 :mod:`treescore.native` packs their tables and binds their kernels; this
 module wraps each bound kernel, as it wraps the entry point of a
-``generated`` unit, in one :class:`NativeEvaluator`.  Like ``generated``
+``generated`` unit, in an :class:`Evaluator`.  Like ``generated``
 they need a C compiler and the Python headers: without either,
 :func:`build` raises :class:`~treescore.codegen.CompilerNotFoundError`,
 and only :func:`~treescore.model.reference_predict` (and
@@ -122,45 +122,23 @@ def vpredicated_index_paths(ct: CompleteTree, matrix) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Evaluator interface
+# Evaluator
 # ---------------------------------------------------------------------------
 
 class Evaluator:
-    """A built, immutable prediction strategy derived from an ensemble.
+    """A built, immutable prediction strategy: a native kernel bound to its
+    model.
 
     Every strategy scores through two calls: ``predict(x)``, the score of
     one feature vector, and ``predict_batch(data)``, a float64 array of
-    the score of every row.  Both check and coerce their input as
-    :func:`treescore.native.as_rows` does, are pure, and are safe to call
-    from multiple threads.  Subclasses provide them and
-    ``stored_node_count``, the node-table entries or node objects they
-    hold.
-    """
-
-    kind: StrategyKind
-    batch_size = None
-    stored_node_count: int
-
-    def __init__(self, ensemble: Ensemble):
-        self.num_features = ensemble.num_features
-        self.num_trees = len(ensemble.trees)
-
-    def __repr__(self):
-        return f"{type(self).__name__}(kind={self.kind}, trees={self.num_trees})"
-
-
-# -- the native strategies -----------------------------------------------------
-
-class NativeEvaluator(Evaluator):
-    """A native kernel bound to its model: every strategy.
-
-    ``kernel`` is a binding of :mod:`treescore.native`.  Its ``predict``
-    and ``predict_batch`` are this evaluator's, so a request runs no Python
-    frame: the binding checks the input, scores it and allocates the
-    output in C, and hands any input it cannot score as it is to
-    :func:`treescore.native.as_rows`.  ``stored_node_count`` is the
-    number of table entries or node objects the kernel's model stores, and
-    ``table_bytes`` the bytes of every array and object it points to (0 for
+    the score of every row.  Both are the methods of ``kernel``, a binding
+    of :mod:`treescore.native`, so a request runs no Python frame: the
+    binding checks the input, scores it and allocates the output in C, and
+    hands any input it cannot score as it is to
+    :func:`treescore.native.as_rows`.  Both are pure and safe to call from
+    multiple threads.  ``stored_node_count`` is the number of table
+    entries or node objects the kernel's model stores, and ``table_bytes``
+    the bytes of every array and object it points to (0 for
     ``generated``, whose model is machine code).
     """
 
@@ -171,13 +149,17 @@ class NativeEvaluator(Evaluator):
     def __init__(self, kind: StrategyKind, ensemble: Ensemble, kernel,
                  stored_node_count: int, batch_size: int | None = None,
                  table_bytes: int = 0):
-        super().__init__(ensemble)
         self.kind = kind
+        self.num_features = ensemble.num_features
+        self.num_trees = len(ensemble.trees)
         self.batch_size = batch_size
         self.stored_node_count = stored_node_count
         self.table_bytes = table_bytes
         self.predict = kernel.predict
         self.predict_batch = kernel.predict_batch
+
+    def __repr__(self):
+        return f"{type(self).__name__}(kind={self.kind}, trees={self.num_trees})"
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +195,7 @@ def build(ensemble: Ensemble, kind, batch_size: int | None = None) -> Evaluator:
         raise ValueError(f"batch_size does not apply to {kind.value}")
     kernel, entries, table_bytes = native.layout_kernel(
         ensemble, kind.value, batch_size or 1)
-    return NativeEvaluator(kind, ensemble, kernel, entries, batch_size,
-                           table_bytes)
+    return Evaluator(kind, ensemble, kernel, entries, batch_size, table_bytes)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -82,12 +83,21 @@ class FeatureLimitError(ModelError):
     """Feature id too large for a complete-table (predicated) layout."""
 
 
+_FLOAT32 = struct.Struct("f")
+
+
 def _f32(x) -> float:
-    """Narrow to float32 precision, returned as a Python float (exact)."""
-    with np.errstate(over="ignore"):
-        # Out-of-range values become inf here and are rejected by the
-        # finiteness checks at the call sites.
-        return float(np.float32(x))
+    """Narrow to float32 precision, returned as a Python float (exact).
+
+    Rounds as ``float(numpy.float32(x))`` does, without entering numpy's
+    error state on every call.  Out-of-range values become a signed inf,
+    which the finiteness checks at the call sites reject.
+    """
+    x = float(x)
+    try:
+        return _FLOAT32.unpack(_FLOAT32.pack(x))[0]
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 class Node:
@@ -311,10 +321,6 @@ class CompleteTree:
             raise ModelSemanticError("leaf table size does not match depth")
         for arr in (self.fids, self.thetas, self.leaf_values):
             arr.flags.writeable = False
-
-    @property
-    def internal_count(self) -> int:
-        return (1 << self.depth) - 1
 
     @property
     def table_entries(self) -> int:

@@ -34,8 +34,7 @@ heap_linked
     id, threshold and two child pointers, a leaf its type pointer and
     value), allocated in depth-first post-order, tree after tree.  The walk
     calls through every object's type for what it is and where to go next,
-    as virtual methods would, and loops, so depth has no limit.  The
-    objects are freed when the kernel object that owns them is collected.
+    as virtual methods would, and loops, so depth has no limit.
 contiguous
     Breadth-first parallel arrays, concatenated over the trees: int32
     feature id (-1 marks a leaf), float32 threshold or leaf value, int32
@@ -43,8 +42,7 @@ contiguous
 compact_linked
     One individually ``malloc``'d record per node (feature id, threshold
     or leaf value, two child pointers), allocated in depth-first post-order,
-    tree after tree, and chased by pointer.  The records are freed when
-    the kernel object that owns them is collected.
+    tree after tree, and chased by pointer.
 predicated and vpredicated
     The complete tables of every tree (see
     :func:`~treescore.model.expand_to_complete`), concatenated: uint16
@@ -56,6 +54,12 @@ predicated and vpredicated
     tree every lane starts at index 0 and, one level at a time, every lane
     applies ``i = (i << 1) + 2 - (x[fid[i]] < theta[i])``.  A short last
     block simply has fewer lanes.
+
+The objects of both linked layouts come from one C builder,
+``linked_build``: one ``malloc`` per entry of the depth-first node tables,
+in table order, each of the layout's size for it.  It returns their bytes,
+and ``linked_free`` frees them when the kernel object that owns them is
+collected.
 
 The dtype of every array a kernel reads is fixed per layout
 (:data:`TABLE_DTYPES`, the ``table:`` comments of the C source), and
@@ -107,9 +111,6 @@ typedef struct node {
     const struct node *right;
 } node;
 
-/* What a compact_linked record takes, for the footprint Python reports. */
-const size_t node_size = sizeof(node);
-
 /* What a kernel reads besides the rows, bound once per evaluator.
    ``table`` is per kernel (see each). */
 typedef struct {
@@ -148,35 +149,6 @@ int contiguous_score(const void *bound, const float *x, int64_t n, double *out)
             acc += m->weights[t] * (double) value[j];
         }
         out[i] = acc;
-    }
-    return 0;
-}
-
-void compact_free(node **nodes, int64_t count)
-{
-    for (int64_t k = 0; k < count; k++)
-        free(nodes[k]);
-}
-
-/* One malloc per table entry, in table order; children are linked by
-   table index.  Returns -1 (with nothing left allocated) when out of
-   memory. */
-int compact_build(const int32_t *fid, const float *value,
-                  const int32_t *left, const int32_t *right, int64_t count,
-                  node **nodes)
-{
-    for (int64_t k = 0; k < count; k++) {
-        nodes[k] = malloc(sizeof(node));
-        if (nodes[k] == NULL) {
-            compact_free(nodes, k);
-            return -1;
-        }
-    }
-    for (int64_t k = 0; k < count; k++) {
-        nodes[k]->fid = fid[k];
-        nodes[k]->value = value[k];
-        nodes[k]->left = fid[k] >= 0 ? nodes[left[k]] : NULL;
-        nodes[k]->right = fid[k] >= 0 ? nodes[right[k]] : NULL;
     }
     return 0;
 }
@@ -329,27 +301,41 @@ float leaf_value(const object *self)
 static const object_type internal_type = {internal_is_leaf, internal_child, NULL};
 static const object_type leaf_type = {leaf_is_leaf, NULL, leaf_value};
 
-/* One malloc per table entry, in table order, each of its own type's
-   size; children are linked by table index.  Returns the bytes of the
-   objects, or -1 (with nothing left allocated) when out of memory. */
-int64_t heap_build(const int32_t *fid, const float *value,
-                   const int32_t *left, const int32_t *right, int64_t count,
-                   void **nodes)
+void linked_free(void **nodes, int64_t count)
+{
+    for (int64_t k = 0; k < count; k++)
+        free(nodes[k]);
+}
+
+/* The objects of a linked layout: one malloc per table entry, in table
+   order, of a compact_linked record (heap 0) or of a heap_linked object
+   of its own type's size; children are linked by table index.  Returns
+   the bytes of the objects, or -1 (with nothing left allocated) when out
+   of memory. */
+int64_t linked_build(int heap, const int32_t *fid, const float *value,
+                     const int32_t *left, const int32_t *right, int64_t count,
+                     void **nodes)
 {
     int64_t bytes = 0;
     for (int64_t k = 0; k < count; k++) {
-        const size_t size = fid[k] >= 0 ? sizeof(internal_object)
-                                        : sizeof(leaf_object);
+        const size_t size = !heap ? sizeof(node)
+                            : fid[k] >= 0 ? sizeof(internal_object)
+                                          : sizeof(leaf_object);
         nodes[k] = malloc(size);
         if (nodes[k] == NULL) {
-            while (k > 0)
-                free(nodes[--k]);
+            linked_free(nodes, k);
             return -1;
         }
         bytes += size;
     }
     for (int64_t k = 0; k < count; k++) {
-        if (fid[k] >= 0) {
+        if (!heap) {
+            node *o = nodes[k];
+            o->fid = fid[k];
+            o->value = value[k];
+            o->left = fid[k] >= 0 ? nodes[left[k]] : NULL;
+            o->right = fid[k] >= 0 ? nodes[right[k]] : NULL;
+        } else if (fid[k] >= 0) {
             internal_object *o = nodes[k];
             o->base.type = &internal_type;
             o->fid = fid[k];
@@ -675,13 +661,10 @@ def _build_library(codegen) -> ctypes.CDLL:
         binding = importlib.util.module_from_spec(spec)
         lib = ctypes.CDLL(str(path))
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.compact_build.restype = ctypes.c_int
-    lib.compact_build.argtypes = [ptr] * 4 + [i64, ptr]
-    lib.compact_free.restype = None
-    lib.compact_free.argtypes = [ptr, i64]
-    lib.heap_build.restype = i64
-    lib.heap_build.argtypes = [ptr] * 4 + [i64, ptr]
-    lib.node_size = ctypes.c_size_t.in_dll(lib, "node_size").value
+    lib.linked_build.restype = i64
+    lib.linked_build.argtypes = [ctypes.c_int] + [ptr] * 4 + [i64, ptr]
+    lib.linked_free.restype = None
+    lib.linked_free.argtypes = [ptr, i64]
     binding.setup(as_rows, np.empty)
     lib.Kernel = binding.Kernel
     lib.cache_hit = cache_hit
@@ -762,39 +745,60 @@ def _pack_nodes(ensemble: Ensemble, breadth_first: bool):
     children's table indices (0 for a leaf); int32 ``roots[t]``, the index
     of tree ``t``'s root.
     """
+    # ``node.left is None`` below is ``node.is_leaf`` without the property
+    # call, which is a fifth of the time spent here.
     fids, values, left, right, roots = [], [], [], [], []
     for tree, _ in ensemble.trees:
-        order = []
-        pending = deque([tree.root])
-        take = pending.popleft if breadth_first else pending.pop
-        while pending:
-            node = take()
-            order.append(node)
-            if not node.is_leaf:
-                pending.extend((node.left, node.right))
-        if not breadth_first:
-            # Node, right subtree, left subtree, reversed.
-            order.reverse()
-        index = {id(node): len(fids) + k for k, node in enumerate(order)}
-        roots.append(index[id(tree.root)])
-        for node in order:
-            if node.is_leaf:
-                fids.append(-1)
-                values.append(node.value)
-                left.append(0)
-                right.append(0)
-            else:
-                fids.append(node.fid)
-                values.append(node.threshold)
-                left.append(index[id(node.left)])
-                right.append(index[id(node.right)])
+        if breadth_first:
+            roots.append(len(fids))
+            # A node's children are numbered when it enqueues them.
+            following = len(fids) + 1
+            pending = deque([tree.root])
+            while pending:
+                node = pending.popleft()
+                if node.left is None:
+                    fids.append(-1)
+                    values.append(node.value)
+                    left.append(0)
+                    right.append(0)
+                else:
+                    fids.append(node.fid)
+                    values.append(node.threshold)
+                    left.append(following)
+                    right.append(following + 1)
+                    following += 2
+                    pending.extend((node.left, node.right))
+        else:
+            # An internal node goes back on the stack under a None, above
+            # its children; when the None is popped, both subtrees are
+            # numbered and their roots' indices are the top two of ``done``.
+            done = []
+            pending = [tree.root]
+            while pending:
+                node = pending.pop()
+                if node is None:
+                    node = pending.pop()
+                    fids.append(node.fid)
+                    values.append(node.threshold)
+                    right.append(done.pop())
+                    left.append(done.pop())
+                elif node.left is None:
+                    fids.append(-1)
+                    values.append(node.value)
+                    left.append(0)
+                    right.append(0)
+                else:
+                    pending.extend((node, None, node.right, node.left))
+                    continue
+                done.append(len(fids) - 1)
+            roots.append(len(fids) - 1)     # the root comes last
     return (np.array(fids, dtype=np.int32), np.array(values, dtype=np.float32),
             np.array(left, dtype=np.int32), np.array(right, dtype=np.int32),
             np.array(roots, dtype=np.int32))
 
 
 def _free_records(lib, nodes: np.ndarray) -> None:
-    lib.compact_free(nodes.ctypes.data, nodes.shape[0])
+    lib.linked_free(nodes.ctypes.data, nodes.shape[0])
 
 
 def _linked_roots(lib, layout: str, fids, values, left, right, roots):
@@ -808,12 +812,9 @@ def _linked_roots(lib, layout: str, fids, values, left, right, roots):
     """
     count = fids.shape[0]
     nodes = np.zeros(count, dtype=np.uintp)
-    args = (fids.ctypes.data, values.ctypes.data, left.ctypes.data,
-            right.ctypes.data, count, nodes.ctypes.data)
-    if layout == "compact_linked":
-        size = -1 if lib.compact_build(*args) else count * lib.node_size
-    else:
-        size = lib.heap_build(*args)
+    size = lib.linked_build(layout == "heap_linked", fids.ctypes.data,
+                            values.ctypes.data, left.ctypes.data,
+                            right.ctypes.data, count, nodes.ctypes.data)
     if size < 0:
         raise MemoryError(f"out of memory allocating {layout} node objects")
     root_objects = nodes[roots]
@@ -856,8 +857,8 @@ def layout_kernel(ensemble: Ensemble, layout: str, v: int = 1):
     number of table entries or node objects the kernel's model stores, and
     the bytes of every array and object it points to, the weights included,
     each ``compact_linked`` record counted at ``sizeof(node)`` and each
-    ``heap_linked`` object at the ``sizeof`` of its type.  Raises what :func:`load_layout_kernels` raises, and
-    for a predicated layout :class:`~treescore.model.FeatureLimitError`
+    ``heap_linked`` object at the ``sizeof`` of its type.  Raises what
+    :func:`load_layout_kernels` raises, and for a predicated layout :class:`~treescore.model.FeatureLimitError`
     over a tree that splits on a feature id above
     :data:`~treescore.model.MAX_TABLE_FID` and
     :class:`~treescore.model.DepthLimitError` over a tree deeper than

@@ -302,6 +302,73 @@ class TestStorage:
         assert codegen.build_generated(ens).table_bytes == 0
 
 
+class TestNodeTables:
+    """The node tables of the linked layouts and ``contiguous``: the
+    linked layouts allocate their objects in table order, so the order
+    decides where they are placed."""
+
+    # An unbalanced tree whose left subtree is the deeper one, a single
+    # leaf, and a stump, each with its weight.
+    ENSEMBLE = Ensemble(4, [
+        (Tree(Node.internal(
+            0, 0.5,
+            Node.internal(1, 0.25, Node.leaf(1.0), Node.internal(
+                2, 0.125, Node.leaf(2.0), Node.leaf(3.0))),
+            Node.leaf(4.0))), 1.0),
+        (Tree(Node.leaf(5.0)), 1.0),
+        (Tree(Node.internal(3, 0.75, Node.leaf(6.0), Node.leaf(7.0))), 1.0)])
+
+    @staticmethod
+    def assert_tables(tables, fids, values, left, right, roots):
+        for got, want, dtype in zip(tables, (fids, values, left, right, roots),
+                                    (np.int32, np.float32, np.int32, np.int32,
+                                     np.int32)):
+            assert got.dtype == dtype
+            assert got.tolist() == want
+
+    def test_breadth_first(self):
+        self.assert_tables(
+            native._pack_nodes(self.ENSEMBLE, breadth_first=True),
+            fids=[0, 1, -1, -1, 2, -1, -1, -1, 3, -1, -1],
+            values=[0.5, 0.25, 4.0, 1.0, 0.125, 2.0, 3.0, 5.0, 0.75, 6.0, 7.0],
+            left=[1, 3, 0, 0, 5, 0, 0, 0, 9, 0, 0],
+            right=[2, 4, 0, 0, 6, 0, 0, 0, 10, 0, 0],
+            roots=[0, 7, 8])
+
+    def test_post_order(self):
+        self.assert_tables(
+            native._pack_nodes(self.ENSEMBLE, breadth_first=False),
+            fids=[-1, -1, -1, 2, 1, -1, 0, -1, -1, -1, 3],
+            values=[1.0, 2.0, 3.0, 0.125, 0.25, 4.0, 0.5, 5.0, 6.0, 7.0, 0.75],
+            left=[0, 0, 0, 1, 0, 0, 4, 0, 0, 0, 8],
+            right=[0, 0, 0, 2, 3, 0, 5, 0, 0, 0, 9],
+            roots=[6, 7, 10])
+
+    def test_orders_on_random_ensembles(self):
+        rng = np.random.default_rng(40)
+        for _ in range(10):
+            ens = random_ensemble(rng, 8, int(rng.integers(1, 12)),
+                                  int(rng.integers(0, 8)))
+            count = sum(tree.node_count for tree, _ in ens.trees)
+            for breadth_first in (True, False):
+                fids, _, left, right, roots = native._pack_nodes(
+                    ens, breadth_first)
+                assert fids.shape == (count,)
+                internal = np.flatnonzero(fids >= 0)
+                if breadth_first:
+                    # Siblings are adjacent, after their parent.
+                    assert np.array_equal(right[internal], left[internal] + 1)
+                    assert np.all(left[internal] > internal)
+                else:
+                    # The left subtree, then the right one, then the node.
+                    assert np.all(left[internal] < right[internal])
+                    assert np.all(right[internal] == internal - 1)
+                # Every node but the roots is the child of exactly one node.
+                children = np.concatenate([left[internal], right[internal]])
+                assert sorted(children.tolist() + roots.tolist()) == list(
+                    range(count))
+
+
 LINKED_LAYOUTS = ((StrategyKind.HEAP_LINKED, None),
                   (StrategyKind.COMPACT_LINKED, None),
                   (StrategyKind.CONTIGUOUS, None))

@@ -22,7 +22,7 @@ from treescore import (
     traverse_to_leaf,
     tree_stats,
 )
-from treescore.model import DUMMY_FID, DUMMY_THETA
+from treescore.model import DUMMY_FID, DUMMY_THETA, _f32
 from treescore.synth import GenConfig, gen_tree
 
 from conftest import random_ensemble, random_unbalanced_tree
@@ -97,6 +97,59 @@ class TestNodes:
         assert (t.depth, t.leaf_count, t.node_count) == (2, 3, 5)
         single = Tree(Node.leaf(0.25))
         assert (single.depth, single.leaf_count) == (0, 1)
+
+
+FLT_MAX = float(np.finfo(np.float32).max)
+# Halfway between FLT_MAX and 2**128: the smallest double that rounds to a
+# float32 inf (a tie, and FLT_MAX's last mantissa bit is odd).
+HALFWAY = 3.4028235677973366e38
+
+
+class TestFloat32Narrowing:
+    def test_equals_numpy(self):
+        values = [FLT_MAX, HALFWAY, math.nextafter(HALFWAY, 0.0),
+                  math.nextafter(HALFWAY, math.inf), 1e39, math.inf,
+                  2.0 ** -149, 2.0 ** -150, 3 * 2.0 ** -151, 1e-40, 1e-46,
+                  0.0, 1.0 / 3.0, 0.1, 7, True, False, np.float64(0.1),
+                  np.float32(0.1), np.int64(3), 10 ** 30]
+        values += [-v for v in values]
+        values += list(np.logspace(-45, 40, 2000))
+        for x in values:
+            with np.errstate(over="ignore"):
+                want = float(np.float32(x))
+            got = _f32(x)
+            assert got == want and math.copysign(1.0, got) == math.copysign(
+                1.0, want), x
+        assert math.isnan(_f32(math.nan))
+
+    def test_halfway_rejected_and_flt_max_accepted(self):
+        for sign in (1.0, -1.0):
+            inf = repr(sign * math.inf)
+            with pytest.raises(ModelSemanticError,
+                               match=f"^leaf value must be finite, got {inf}$"):
+                Node.leaf(sign * HALFWAY)
+            with pytest.raises(ModelSemanticError,
+                               match=f"^threshold must be finite, got {inf}$"):
+                Node.internal(0, sign * HALFWAY, Node.leaf(0.0), Node.leaf(1.0))
+            assert Node.leaf(sign * FLT_MAX).value == sign * FLT_MAX
+            below = math.nextafter(sign * HALFWAY, 0.0)
+            node = Node.internal(0, below, Node.leaf(0.0), Node.leaf(1.0))
+            assert node.threshold == sign * FLT_MAX
+
+    def test_halfway_rejected_and_flt_max_accepted_in_documents(self):
+        def document(theta, leaf):
+            return (f"ensemble 2 1\ntree 1.0\nnode 0 0 {theta!r} 1 2\n"
+                    f"leaf 1 {leaf!r}\nleaf 2 1.0\nend\n")
+
+        for x in (HALFWAY, -HALFWAY):
+            with pytest.raises(ModelSemanticError,
+                               match="^tree 0, line 3: threshold must be finite$"):
+                parse_model(document(x, 0.0))
+            with pytest.raises(ModelSemanticError,
+                               match="^tree 0, line 4: leaf value must be finite$"):
+                parse_model(document(0.5, x))
+        root = parse_model(document(FLT_MAX, -FLT_MAX)).trees[0][0].root
+        assert (root.threshold, root.left.value) == (FLT_MAX, -FLT_MAX)
 
 
 class TestTraversal:
