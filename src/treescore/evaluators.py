@@ -17,9 +17,9 @@ compact_linked
     One compact record per node, individually allocated in depth-first
     order and pointer-chased by a tight iterative loop.
 contiguous
-    All nodes packed into parallel flat arrays in breadth-first order,
-    tightly (unbalanced trees occupy exactly ``node_count`` slots;
-    children sit at stored indices rather than computed offsets).
+    All nodes packed into one array of 16-byte entries in breadth-first
+    order, tightly (unbalanced trees occupy exactly ``node_count`` slots;
+    children sit at stored byte offsets rather than computed ones).
 predicated
     Complete-table traversal with the branch-free index update
     ``i = (i << 1) + 2 - (x[fid[i]] < theta[i])`` applied ``d`` times,

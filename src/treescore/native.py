@@ -36,9 +36,10 @@ heap_linked
     calls through every object's type for what it is and where to go next,
     as virtual methods would, and loops, so depth has no limit.
 contiguous
-    Breadth-first parallel arrays, concatenated over the trees: int32
-    feature id (-1 marks a leaf), float32 threshold or leaf value, int32
-    left and right child index.  Walked by index.
+    One array of 16-byte entries in breadth-first order, concatenated
+    over the trees: int32 feature id (-1 marks a leaf), float32 threshold
+    or leaf value, and the uint32 byte offsets of the left and right
+    child in the array.  Walked by offset.
 compact_linked
     One individually ``malloc``'d record per node (feature id, threshold
     or leaf value, two child pointers), allocated in depth-first post-order,
@@ -101,8 +102,10 @@ from .model import MAX_TABLE_FID, Ensemble, FeatureLimitError, expand_to_complet
 _SOURCE = r"""
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 typedef struct node {
     int32_t fid;                /* -1 marks a leaf */
@@ -121,7 +124,33 @@ typedef struct {
     int64_t v;                  /* lanes per block, predicated_score only */
 } model;
 
-/* table: int32 fid, float32 value, int32 left, int32 right, int32 roots
+/* A contiguous entry: a node and its children's byte offsets in the
+   table. */
+typedef struct {
+    int32_t fid;                /* -1 marks a leaf */
+    float value;                /* threshold, or the leaf value */
+    uint32_t left, right;
+} entry;
+
+/* The left and right offsets of the 8 bytes that hold both. */
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+#define LEFT_OF(w) ((w) >> 32)
+#define RIGHT_OF(w) ((uint32_t) (w))
+#else
+#define LEFT_OF(w) ((uint32_t) (w))
+#define RIGHT_OF(w) ((w) >> 32)
+#endif
+
+/* Reads field of the entry at byte offset o of nodes into var. */
+#define READ(var, o, field) \
+    memcpy(&(var), nodes + (o) + offsetof(entry, field), sizeof (var))
+
+/* table: entry nodes, uint32 roots (byte offsets)
+
+   The walk keeps the byte offset of its entry, which each read adds to
+   the table in its address, and it reads both children in one load
+   before the branch, so a mispredicted branch costs no load before the
+   next entry is read.
 
    The first kernel starts on a 64-byte boundary and the others follow it
    in source order, so every kernel keeps its offset within the 64-byte
@@ -132,28 +161,38 @@ __attribute__((aligned(64)))
 int contiguous_score(const void *bound, const float *x, int64_t n, double *out)
 {
     const model *m = bound;
-    const int32_t *fid = m->table[0], *left = m->table[2],
-                  *right = m->table[3], *roots = m->table[4];
-    const float *value = m->table[1];
+    const char *nodes = m->table[0];
+    const uint32_t *roots = m->table[1];
     for (int64_t i = 0; i < n; i++) {
         const float *row = x + i * m->f;
         double acc = 0.0;
         for (int64_t t = 0; t < m->num_trees; t++) {
-            int32_t j = roots[t];
-            while (fid[j] >= 0) {
-                if (row[fid[j]] < value[j])
-                    j = left[j];
+            uint64_t o = roots[t], children;
+            int32_t fid;
+            float value;
+            for (;;) {
+                READ(fid, o, fid);
+                READ(value, o, value);
+                if (fid < 0)
+                    break;
+                READ(children, o, left);
+                if (row[fid] < value)
+                    o = LEFT_OF(children);
                 else
-                    j = right[j];
+                    o = RIGHT_OF(children);
             }
-            acc += m->weights[t] * (double) value[j];
+            acc += m->weights[t] * (double) value;
         }
         out[i] = acc;
     }
     return 0;
 }
 
-/* table: the root record of each tree */
+/* table: the root record of each tree
+
+   Also on a 64-byte boundary, so the size of contiguous_score does not
+   move this kernel or those after it. */
+__attribute__((aligned(64)))
 int compact_score(const void *bound, const float *x, int64_t n, double *out)
 {
     const model *m = bound;
@@ -701,11 +740,16 @@ def function_address(function) -> int:
     return ctypes.cast(function, ctypes.c_void_p).value
 
 
+# An ``entry`` of the ``contiguous`` table, and the most bytes its uint32
+# offsets can span.
+CONTIGUOUS_TABLE_LIMIT = 1 << 32
+CONTIGUOUS_ENTRY = np.dtype([("fid", np.int32), ("value", np.float32),
+                             ("left", np.uint32), ("right", np.uint32)])
+
 # The dtypes of the arrays of ``model.table``, in order, per layout: the
 # ``table:`` comments of ``_SOURCE``.
 TABLE_DTYPES = {
-    "contiguous": tuple(map(np.dtype, (np.int32, np.float32, np.int32,
-                                       np.int32, np.int32))),
+    "contiguous": (CONTIGUOUS_ENTRY, np.dtype(np.uint32)),
     "heap_linked": (np.dtype(np.uintp),),
     "compact_linked": (np.dtype(np.uintp),),
     "predicated": tuple(map(np.dtype, (np.uint16, np.float32, np.float32,
@@ -797,6 +841,25 @@ def _pack_nodes(ensemble: Ensemble, breadth_first: bool):
             np.array(roots, dtype=np.int32))
 
 
+def _contiguous_entries(fids, values, left, right, roots):
+    """Breadth-first node tables as one array of ``contiguous`` entries,
+    and the byte offsets of the roots.
+
+    Raises ``ValueError`` for tables of more than
+    :data:`CONTIGUOUS_TABLE_LIMIT` bytes.
+    """
+    size = CONTIGUOUS_ENTRY.itemsize
+    if fids.shape[0] * size > CONTIGUOUS_TABLE_LIMIT:
+        raise ValueError(f"{fids.shape[0]} nodes exceed the "
+                         f"{CONTIGUOUS_TABLE_LIMIT}-byte contiguous table")
+    nodes = np.empty(fids.shape[0], dtype=CONTIGUOUS_ENTRY)
+    nodes["fid"] = fids
+    nodes["value"] = values
+    nodes["left"] = left.astype(np.uint32) * np.uint32(size)
+    nodes["right"] = right.astype(np.uint32) * np.uint32(size)
+    return nodes, roots.astype(np.uint32) * np.uint32(size)
+
+
 def _free_records(lib, nodes: np.ndarray) -> None:
     lib.linked_free(nodes.ctypes.data, nodes.shape[0])
 
@@ -874,6 +937,7 @@ def layout_kernel(ensemble: Ensemble, layout: str, v: int = 1):
         entries = tables[0].shape[0]
         lib = load_layout_kernels()
         if layout == "contiguous":
+            tables = _contiguous_entries(*tables)
             score = lib.contiguous_score
         else:
             root_objects, objects = _linked_roots(lib, layout, *tables)

@@ -282,7 +282,8 @@ class TestStorage:
                 3, 0.25, Node.leaf(2.0), Node.leaf(3.0)))), 0.5),
             (Tree(Node.leaf(4.0)), 2.0)])
         weights = 2 * 8
-        # fid, value, left, right (int32 or float32) per node; int32 roots.
+        # A 16-byte entry per node (int32 fid, float32 value, uint32 left
+        # and right offsets); uint32 roots.
         contiguous = 6 * 4 * 4 + 2 * 4 + weights
         # A pointer to each root and a 24-byte record per node.
         compact = 2 * 8 + 6 * 24 + weights
@@ -367,6 +368,31 @@ class TestNodeTables:
                 children = np.concatenate([left[internal], right[internal]])
                 assert sorted(children.tolist() + roots.tolist()) == list(
                     range(count))
+
+    def test_contiguous_entries(self):
+        # The breadth-first tables as 16-byte entries; children and roots
+        # by byte offset.
+        nodes, roots = native._contiguous_entries(
+            *native._pack_nodes(self.ENSEMBLE, breadth_first=True))
+        assert nodes.dtype == native.CONTIGUOUS_ENTRY
+        assert nodes.dtype.itemsize == 16
+        assert nodes["fid"].tolist() == [0, 1, -1, -1, 2, -1, -1, -1, 3, -1, -1]
+        assert nodes["value"].tolist() == [0.5, 0.25, 4.0, 1.0, 0.125, 2.0,
+                                           3.0, 5.0, 0.75, 6.0, 7.0]
+        assert nodes["left"].tolist() == [16, 48, 0, 0, 80, 0, 0, 0, 144, 0, 0]
+        assert nodes["right"].tolist() == [32, 64, 0, 0, 96, 0, 0, 0, 160, 0,
+                                           0]
+        assert roots.dtype == np.uint32
+        assert roots.tolist() == [0, 112, 128]
+
+    def test_contiguous_table_limit(self, monkeypatch):
+        # Offsets are uint32, so the table may span at most 4 GiB.
+        tables = native._pack_nodes(self.ENSEMBLE, breadth_first=True)
+        monkeypatch.setattr(native, "CONTIGUOUS_TABLE_LIMIT", 11 * 16)
+        native._contiguous_entries(*tables)
+        monkeypatch.setattr(native, "CONTIGUOUS_TABLE_LIMIT", 11 * 16 - 1)
+        with pytest.raises(ValueError, match="11 nodes exceed"):
+            native._contiguous_entries(*tables)
 
 
 LINKED_LAYOUTS = ((StrategyKind.HEAP_LINKED, None),
