@@ -1,7 +1,9 @@
 """Build a small ensemble by hand, serialize it, and expand it.
 
 Walks the logical model layer: nodes, trees, ensembles, the text format,
-and the complete-table expansion that the predicated strategies rely on.
+and the complete-table expansion, which models the d steps per tree that
+the predicated strategies take (their leaves loop to themselves instead of
+sitting on dummy subtrees).
 """
 
 import numpy as np

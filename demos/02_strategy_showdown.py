@@ -52,5 +52,5 @@ print("\nstorage (node slots per strategy):")
 for ev in evaluators:
     if ev.stored_node_count:
         print(f"  {str(ev.kind):<16} {ev.stored_node_count:>8}")
-print(f"  (logical tree has {tree.node_count} nodes; complete tables pay "
-      f"2^(d+1)-1 = {2 ** (DEPTH + 1) - 1})")
+print(f"  (logical tree has {tree.node_count} nodes; the predicated pair "
+      f"counts its complete tree, 2^(d+1)-1 = {2 ** (DEPTH + 1) - 1})")

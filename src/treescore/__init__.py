@@ -9,11 +9,9 @@ branch behavior, which is what :mod:`treescore.bench` measures.
 
 from .model import (
     MAX_DEPTH,
-    MAX_TABLE_FID,
     CompleteTree,
     DepthLimitError,
     Ensemble,
-    FeatureLimitError,
     ModelError,
     ModelSemanticError,
     ModelSyntaxError,

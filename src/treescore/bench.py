@@ -60,7 +60,7 @@ from .evaluators import (
     predict_ensemble_traced,
     reference_batch,
 )
-from .model import MAX_DEPTH, MAX_TABLE_FID, Ensemble, tree_stats
+from .model import MAX_DEPTH, Ensemble, tree_stats
 from .synth import GenConfig, gen_leaf_uniform_vectors, gen_tree
 
 CSV_HEADER = "strategy,depth,features,batch,trial,elapsed_ns,instances,ns_per_instance"
@@ -113,12 +113,6 @@ class BenchConfig:
                 raise ValueError(
                     f"depths {too_deep} exceed MAX_DEPTH={MAX_DEPTH} for "
                     "predicated strategies"
-                )
-            too_wide = [f for f in self.feature_sizes if f > MAX_TABLE_FID + 1]
-            if too_wide:
-                raise ValueError(
-                    f"feature sizes {too_wide} exceed MAX_TABLE_FID + 1 = "
-                    f"{MAX_TABLE_FID + 1} for predicated strategies"
                 )
 
 
@@ -358,9 +352,6 @@ def run_fixed(ensemble: Ensemble, data: Dataset, strategies=ALL_STRATEGIES,
         raise ValueError("the dataset has no rows to time")
     depth = tree_stats(ensemble).max_depth
     features = ensemble.num_features
-    # No feature size is checked: what the predicated tables limit is a
-    # fixed model's feature ids, not its width, and building the
-    # evaluators checks them (FeatureLimitError).
     cfg = BenchConfig(strategies=strategies, depths=(depth,),
                       feature_sizes=(), batch_sizes=tuple(batch_sizes),
                       instances=data.count, trials=trials, warmup=warmup)

@@ -21,11 +21,13 @@ contiguous
     order, tightly (unbalanced trees occupy exactly ``node_count`` slots;
     children sit at stored byte offsets rather than computed ones).
 predicated
-    Complete-table traversal with the branch-free index update
-    ``i = (i << 1) + 2 - (x[fid[i]] < theta[i])`` applied ``d`` times,
-    one instance at a time.  Requires dummy-node expansion, so depth is
-    capped at :data:`~treescore.model.MAX_DEPTH`; feature ids are packed
-    as uint16, so they are capped at :data:`~treescore.model.MAX_TABLE_FID`.
+    The nodes in the breadth-first order of ``contiguous``, as 16-byte
+    entries that hold only the left child's index (the right child
+    follows it), and leaves that loop to themselves; the branch-free
+    index update
+    ``i = left[i] + 1 - (x[fid[i]] < theta[i])`` is applied ``d`` times,
+    one instance at a time, so a lane that reaches a leaf early stays on
+    it.  Depth is capped at :data:`~treescore.model.MAX_DEPTH`.
 vpredicated
     The same index update applied to ``v`` instances in lockstep, one tree
     level per step.  ``v=1`` reduces to the predicated path.  Batch
@@ -75,8 +77,10 @@ ALL_STRATEGIES = tuple(StrategyKind)
 # Predication index oracles
 # ---------------------------------------------------------------------------
 #
-# Generic loop forms of the branch-free index update, one instance or one
-# lockstep batch at a time.  The evaluators score in the native kernel;
+# Generic loop forms of the branch-free index update over a complete
+# tree, one instance or one lockstep batch at a time: the d steps per tree
+# that the predicated pair's stored_node_count counts.  The native kernel
+# takes the same steps over self-looping breadth-first entries instead;
 # the tests hold these to the reference traversal and to each other.
 
 def leaf_index_predicated(ct: CompleteTree, x) -> int:
@@ -139,7 +143,12 @@ class Evaluator:
     multiple threads.  ``stored_node_count`` is the number of table
     entries or node objects the kernel's model stores, and ``table_bytes``
     the bytes of every array and object it points to (0 for
-    ``generated``, whose model is machine code).
+    ``generated``, whose model is machine code).  For the predicated pair
+    ``stored_node_count`` is the 2^(d+1) - 1 entries of each tree's
+    complete tree: every lane takes all d steps of the complete tree, and
+    a leaf that loops to itself above the bottom level stands for its
+    subtree of dummy nodes.  Their ``table_bytes`` is the physical size,
+    one 16-byte entry per node.
     """
 
     # A constant, kept because the benchmark in ``perfbench/`` reads it on
@@ -175,10 +184,7 @@ def build(ensemble: Ensemble, kind, batch_size: int | None = None) -> Evaluator:
     compiler or the Python headers.  ``generated`` evaluators are built by
     :func:`treescore.codegen.build_generated`.
     Predicated kinds raise :class:`~treescore.model.DepthLimitError` for
-    trees deeper than :data:`~treescore.model.MAX_DEPTH`, and
-    :class:`~treescore.model.FeatureLimitError` for trees that split on a
-    feature id above :data:`~treescore.model.MAX_TABLE_FID` (their tables
-    hold uint16 ids).
+    trees deeper than :data:`~treescore.model.MAX_DEPTH`.
     """
     kind = StrategyKind(kind)
     if kind is StrategyKind.GENERATED:

@@ -38,16 +38,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Complete-tree strategies reject trees deeper than this: dummy-node
-# expansion costs 2^(d+1)-1 table entries per tree (65,535 internal slots at
-# depth 16).  heap_linked, compact_linked, contiguous and generated have no
-# depth limit.
+# The predicated strategies reject trees deeper than this: every lane
+# takes a tree's full depth in steps, and they count a tree as its complete
+# tree of 2^(d+1)-1 entries (expand_to_complete).  heap_linked,
+# compact_linked, contiguous and generated have no depth limit.
 MAX_DEPTH = 16
-
-# Complete-tree strategies pack feature ids as uint16, so they reject
-# trees that split on a feature id above this.  Every other strategy, and
-# CompleteTree itself, keeps int32 ids.
-MAX_TABLE_FID = 65_535
 
 # Dummy nodes inserted by expand_to_complete().  theta=+inf makes dummies
 # identifiable in dumps.  Under the split rule (left iff x < theta) it
@@ -76,11 +71,7 @@ class ModelSemanticError(ModelError):
 
 
 class DepthLimitError(ModelError):
-    """Tree too deep for a complete-table (predicated) layout."""
-
-
-class FeatureLimitError(ModelError):
-    """Feature id too large for a complete-table (predicated) layout."""
+    """Tree too deep for a predicated layout (see :data:`MAX_DEPTH`)."""
 
 
 _FLOAT32 = struct.Struct("f")
@@ -303,8 +294,6 @@ class CompleteTree:
     ``i in [0, 2^d - 1)``; the children of ``i`` sit at ``2i+1`` and
     ``2i+2``.  ``leaf_values[j]`` holds leaf ``j``, which corresponds to
     traversal index ``(2^d - 1) + j``.  Arrays are frozen after build.
-    ``fids`` are int32 here; the predicated strategies pack them as uint16
-    (see :data:`MAX_TABLE_FID`).
     """
 
     __slots__ = ("depth", "fids", "thetas", "leaf_values", "weight")
@@ -322,11 +311,6 @@ class CompleteTree:
         for arr in (self.fids, self.thetas, self.leaf_values):
             arr.flags.writeable = False
 
-    @property
-    def table_entries(self) -> int:
-        """Total stored entries: 2^(d+1) - 1 (internal slots plus leaves)."""
-        return (1 << (self.depth + 1)) - 1
-
     def __repr__(self):
         return f"CompleteTree(depth={self.depth})"
 
@@ -338,8 +322,6 @@ def expand_to_complete(tree: Tree) -> CompleteTree:
     inserted internal nodes carry ``fid=0, theta=+inf`` and every descendant
     leaf repeats the original leaf value, so predictions are unchanged for
     every input.  Raises :class:`DepthLimitError` above :data:`MAX_DEPTH`.
-    The feature ids stay int32; the predicated strategies narrow them to
-    uint16 when they pack the tables (see :data:`MAX_TABLE_FID`).
     """
     d = tree.depth
     if d > MAX_DEPTH:

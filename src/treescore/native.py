@@ -45,16 +45,15 @@ compact_linked
     or leaf value, two child pointers), allocated in depth-first post-order,
     tree after tree, and chased by pointer.
 predicated and vpredicated
-    The complete tables of every tree (see
-    :func:`~treescore.model.expand_to_complete`), concatenated: uint16
-    feature ids and float32 thresholds of the internal nodes, float32
-    leaves, so an internal entry takes 6 bytes.  A tree that splits on a
-    feature id above :data:`~treescore.model.MAX_TABLE_FID` is refused with
-    :class:`~treescore.model.FeatureLimitError` before anything is packed.
-    Rows go in blocks of ``v`` lanes (``v = 1`` for ``predicated``); per
-    tree every lane starts at index 0 and, one level at a time, every lane
-    applies ``i = (i << 1) + 2 - (x[fid[i]] < theta[i])``.  A short last
-    block simply has fewer lanes.
+    One array of 16-byte entries in breadth-first order, concatenated
+    over the trees, so a node's right child follows its left one: int32
+    feature id, float32 threshold, the int32 table index of the left child
+    and the float32 leaf value.  A leaf has feature id 0, threshold NaN and
+    left child its own index - 1, so it loops to itself.  Rows go in
+    blocks of ``v`` lanes (``v = 1`` for ``predicated``); per tree every
+    lane starts at the root and, ``depth`` times, applies
+    ``i = left[i] + 1 - (x[fid[i]] < theta[i])``, then adds its leaf.  A
+    short last block simply has fewer lanes.
 
 The objects of both linked layouts come from one C builder,
 ``linked_build``: one ``malloc`` per entry of the depth-first node tables,
@@ -97,7 +96,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .model import MAX_TABLE_FID, Ensemble, FeatureLimitError, expand_to_complete
+from .model import MAX_DEPTH, DepthLimitError, Ensemble
 
 _SOURCE = r"""
 #define PY_SSIZE_T_CLEAN
@@ -215,60 +214,72 @@ int compact_score(const void *bound, const float *x, int64_t n, double *out)
     return 0;
 }
 
+/* A predicated entry: a node in breadth-first order, so its right child
+   follows its left one.  A leaf has fid 0, theta NaN and left its own
+   index - 1, so the update below keeps a lane on it. */
+typedef struct {
+    int32_t fid;
+    float theta;
+    int32_t left;               /* table index of the left child */
+    float value;                /* the leaf value, 0 in a split */
+} pentry;
+
 /* Lane scratch on the stack up to this many lanes, on the heap above. */
 #define STACK_LANES 256
 
-/* One block of b rows of predicated_score, scored into out[0..b). */
+/* One block of b rows of predicated_score, scored into out[0..b).  A
+   lane holds its entry's byte offset, the index times 16: holding the
+   index instead put two more instructions between each compare and the
+   next load, which made one lane about 12% slower on a complete
+   depth-11 tree. */
 static inline __attribute__((always_inline))
 void predicated_block(const model *m, const float *rows, int64_t b,
-                      int64_t *index, double *out)
+                      int64_t *offset, double *out)
 {
-    const uint16_t *fid = m->table[0];
-    const int32_t *depth = m->table[5];
-    const float *theta = m->table[1], *leaf = m->table[2];
-    const int64_t *nodes = m->table[3], *leaves = m->table[4];
+    const char *nodes = m->table[0];
+    const int32_t *roots = m->table[1], *depth = m->table[2];
     for (int64_t k = 0; k < b; k++)
         out[k] = 0.0;
     for (int64_t t = 0; t < m->num_trees; t++) {
-        const uint16_t *tree_fid = fid + nodes[t];
-        const float *tree_theta = theta + nodes[t];
-        const int32_t first_leaf = (1 << depth[t]) - 1;
         const double weight = m->weights[t];
         for (int64_t k = 0; k < b; k++)
-            index[k] = 0;
+            offset[k] = (int64_t) roots[t] * (int64_t) sizeof(pentry);
         for (int32_t level = 0; level < depth[t]; level++)
             for (int64_t k = 0; k < b; k++) {
-                const int64_t i = index[k];
-                index[k] = (i << 1) + 2
-                    - (rows[k * m->f + tree_fid[i]] < tree_theta[i]);
+                const float *row = rows + k * m->f;
+                const pentry *e = (const pentry *) (nodes + offset[k]);
+                offset[k] = ((int64_t) e->left + 1 - (row[e->fid] < e->theta))
+                            * (int64_t) sizeof(pentry);
             }
         for (int64_t k = 0; k < b; k++)
-            out[k] += weight * (double) leaf[leaves[t] + index[k] - first_leaf];
+            out[k] += weight
+                * (double) ((const pentry *) (nodes + offset[k]))->value;
     }
 }
 
-/* Lockstep predication, v rows per block.  table: uint16 fid and float32
-   theta of the internal nodes, float32 leaves, then per tree the int64
-   offsets of its internal nodes and of its leaves, and its int32 depth. */
+/* Lockstep predication, v rows per block: per tree every lane starts at
+   the root and takes the tree's depth in steps, a lane on a leaf staying
+   there.  table: pentry nodes, then per tree the int32 index of its root
+   and its int32 depth. */
 int predicated_score(const void *bound, const float *x, int64_t n, double *out)
 {
     const model *m = bound;
     const int64_t lanes = m->v < n ? m->v : n;
-    int64_t stack_index[STACK_LANES];
-    int64_t *index = stack_index;
-    if (lanes > STACK_LANES && !(index = malloc(lanes * sizeof *index)))
+    int64_t stack_offset[STACK_LANES];
+    int64_t *offset = stack_offset;
+    if (lanes > STACK_LANES && !(offset = malloc(lanes * sizeof *offset)))
         return -1;
     for (int64_t start = 0; start < n; start += lanes) {
         const int64_t b = n - start < lanes ? n - start : lanes;
-        /* With a constant single lane its index stays in a register
+        /* With a constant single lane its offset stays in a register
            instead of making a store and a load on every level. */
         if (b == 1)
-            predicated_block(m, x + start * m->f, 1, index, out + start);
+            predicated_block(m, x + start * m->f, 1, offset, out + start);
         else
-            predicated_block(m, x + start * m->f, b, index, out + start);
+            predicated_block(m, x + start * m->f, b, offset, out + start);
     }
-    if (index != stack_index)
-        free(index);
+    if (offset != stack_offset)
+        free(offset);
     return 0;
 }
 
@@ -746,14 +757,19 @@ CONTIGUOUS_TABLE_LIMIT = 1 << 32
 CONTIGUOUS_ENTRY = np.dtype([("fid", np.int32), ("value", np.float32),
                              ("left", np.uint32), ("right", np.uint32)])
 
+# A ``pentry`` of the predicated table, and the most entries its int32
+# indices can reach.
+PREDICATED_TABLE_LIMIT = 1 << 31
+PREDICATED_ENTRY = np.dtype([("fid", np.int32), ("theta", np.float32),
+                             ("left", np.int32), ("value", np.float32)])
+
 # The dtypes of the arrays of ``model.table``, in order, per layout: the
 # ``table:`` comments of ``_SOURCE``.
 TABLE_DTYPES = {
     "contiguous": (CONTIGUOUS_ENTRY, np.dtype(np.uint32)),
     "heap_linked": (np.dtype(np.uintp),),
     "compact_linked": (np.dtype(np.uintp),),
-    "predicated": tuple(map(np.dtype, (np.uint16, np.float32, np.float32,
-                                       np.int64, np.int64, np.int32))),
+    "predicated": (PREDICATED_ENTRY, np.dtype(np.int32), np.dtype(np.int32)),
 }
 TABLE_DTYPES["vpredicated"] = TABLE_DTYPES["predicated"]
 
@@ -885,30 +901,26 @@ def _linked_roots(lib, layout: str, fids, values, left, right, roots):
     return root_objects, size
 
 
-def _complete_tables(ensemble: Ensemble):
-    """The complete tables of every tree, concatenated, and their entry count.
+def _predicated_entries(fids, values, left, right, roots):
+    """Breadth-first node tables as one array of predicated entries, in
+    which every leaf loops to itself, and the root indices.  ``right`` is
+    ``left + 1`` in breadth-first tables, so it is not stored.
 
-    Raises :class:`~treescore.model.FeatureLimitError` for trees that split
-    on a feature id above :data:`~treescore.model.MAX_TABLE_FID`, which the
-    uint16 ids cannot hold, and :class:`~treescore.model.DepthLimitError`
-    for trees deeper than :data:`~treescore.model.MAX_DEPTH`.
+    Raises ``ValueError`` for tables of more than
+    :data:`PREDICATED_TABLE_LIMIT` entries.
     """
-    max_fid = max(tree.max_fid for tree, _ in ensemble.trees)
-    if max_fid > MAX_TABLE_FID:
-        raise FeatureLimitError(
-            f"feature id {max_fid} exceeds MAX_TABLE_FID={MAX_TABLE_FID} "
-            "for complete-table layouts")
-    tables = [expand_to_complete(tree) for tree, _ in ensemble.trees]
-    depths = np.array([ct.depth for ct in tables], dtype=np.int32)
-    arrays = (
-        np.concatenate([ct.fids for ct in tables]).astype(np.uint16),
-        np.concatenate([ct.thetas for ct in tables]),
-        np.concatenate([ct.leaf_values for ct in tables]),
-        np.concatenate([[0], np.cumsum((1 << depths[:-1]) - 1)]).astype(np.int64),
-        np.concatenate([[0], np.cumsum(1 << depths[:-1])]).astype(np.int64),
-        depths,
-    )
-    return arrays, sum(ct.table_entries for ct in tables)
+    count = fids.shape[0]
+    if count > PREDICATED_TABLE_LIMIT:
+        raise ValueError(f"{count} nodes exceed the "
+                         f"{PREDICATED_TABLE_LIMIT}-entry predicated table")
+    leaf = fids < 0
+    nodes = np.empty(count, dtype=PREDICATED_ENTRY)
+    nodes["fid"] = np.where(leaf, 0, fids)
+    nodes["theta"] = np.where(leaf, np.float32(np.nan), values)
+    nodes["left"] = np.where(leaf, np.arange(-1, count - 1, dtype=np.int32),
+                             left)
+    nodes["value"] = np.where(leaf, values, np.float32(0))
+    return nodes, roots
 
 
 def layout_kernel(ensemble: Ensemble, layout: str, v: int = 1):
@@ -920,16 +932,23 @@ def layout_kernel(ensemble: Ensemble, layout: str, v: int = 1):
     number of table entries or node objects the kernel's model stores, and
     the bytes of every array and object it points to, the weights included,
     each ``compact_linked`` record counted at ``sizeof(node)`` and each
-    ``heap_linked`` object at the ``sizeof`` of its type.  Raises what
-    :func:`load_layout_kernels` raises, and for a predicated layout :class:`~treescore.model.FeatureLimitError`
-    over a tree that splits on a feature id above
-    :data:`~treescore.model.MAX_TABLE_FID` and
+    ``heap_linked`` object at the ``sizeof`` of its type.  A predicated
+    layout counts the entries of each tree's complete tree, whose every
+    level its lanes step through (a leaf above the bottom stands for its
+    subtree), but stores one entry per node.  Raises what
+    :func:`load_layout_kernels` raises, and for a predicated layout
     :class:`~treescore.model.DepthLimitError` over a tree deeper than
     :data:`~treescore.model.MAX_DEPTH`.
     """
     objects = 0
     if layout in ("predicated", "vpredicated"):
-        tables, entries = _complete_tables(ensemble)
+        depths = [tree.depth for tree, _ in ensemble.trees]
+        if max(depths) > MAX_DEPTH:
+            raise DepthLimitError(f"tree depth {max(depths)} exceeds "
+                                  f"MAX_DEPTH={MAX_DEPTH} for predicated layouts")
+        tables = (*_predicated_entries(*_pack_nodes(ensemble, breadth_first=True)),
+                  np.array(depths, dtype=np.int32))
+        entries = sum((1 << (d + 1)) - 1 for d in depths)
         lib = load_layout_kernels()
         score = lib.predicated_score
     elif layout in ("heap_linked", "compact_linked", "contiguous"):

@@ -12,7 +12,6 @@ import pytest
 import treescore
 from treescore import (
     ALL_STRATEGIES,
-    MAX_TABLE_FID,
     BenchConfig,
     BenchReport,
     BenchRow,
@@ -67,15 +66,33 @@ class TestConfig:
         # Deep trees are fine for linked strategies.
         small_cfg(strategies=(StrategyKind.CONTIGUOUS,), depths=(3, 17))
 
+    @requires_compiler
     def test_feature_limit(self):
-        # Feature ids up to MAX_TABLE_FID fit the predicated tables.
+        # No feature width limits the predicated strategies, whose tables
+        # hold int32 ids: a model that splits on id 65,536, which a uint16
+        # would wrap to 0, passes the gate and scores bit-exactly.
+        f = 65_537
         for kind in (StrategyKind.PREDICATED, StrategyKind.VPREDICATED):
-            small_cfg(strategies=(kind,), feature_sizes=(MAX_TABLE_FID + 1,))
-            with pytest.raises(ValueError, match="MAX_TABLE_FID"):
-                small_cfg(strategies=(StrategyKind.CONTIGUOUS, kind),
-                          feature_sizes=(32, MAX_TABLE_FID + 2))
-        small_cfg(strategies=(StrategyKind.CONTIGUOUS,),
-                  feature_sizes=(MAX_TABLE_FID + 2,))
+            small_cfg(strategies=(StrategyKind.CONTIGUOUS, kind),
+                      feature_sizes=(32, f))
+        trees = [(Tree(Node.internal(f - 1, 0.5, Node.leaf(1.0), Node.internal(
+            0, 0.25, Node.leaf(2.0), Node.leaf(float(t))))), 0.5)
+            for t in range(64)]
+        ens = Ensemble(f, trees)
+        X = np.zeros((64, f), dtype=np.float32)
+        X[:, 0] = np.resize(np.array([0.0, 0.25, 1.0], dtype=np.float32), 64)
+        X[:, f - 1] = np.resize(np.array([0.25, 0.5, 0.75, np.nan, np.inf,
+                                          -np.inf], dtype=np.float32), 64)
+        report = run_fixed(ens, Dataset(X), strategies=(
+            StrategyKind.PREDICATED, StrategyKind.VPREDICATED),
+            batch_sizes=(4,), trials=2)
+        assert [row.key() for row in report.rows] == [
+            ("predicated", 2, f, None), ("vpredicated", 2, f, 4)]
+        expected = treescore.reference_batch(ens, X).view(np.uint64)
+        for kind, v in ((StrategyKind.PREDICATED, None),
+                        (StrategyKind.VPREDICATED, 4)):
+            scores = build(ens, kind, v).predict_batch(X)
+            assert np.array_equal(scores.view(np.uint64), expected), kind
 
     def test_strategy_names_coerced(self):
         cfg = small_cfg(strategies=("contiguous", "predicated"))

@@ -5,8 +5,8 @@ import sysconfig
 import numpy as np
 import pytest
 
-from treescore import (MAX_TABLE_FID, Dataset, Ensemble, Node, Tree, native,
-                       parse_csv, read_csv, read_fvec, save_model, write_fvec)
+from treescore import (Dataset, Ensemble, Node, Tree, native, parse_csv,
+                       read_csv, read_fvec, save_model, write_fvec)
 from treescore import bench as bench_mod
 from treescore.cli import main
 from treescore.codegen import GENERATED_FLAGS
@@ -240,23 +240,31 @@ class TestBenchAndTune:
 
 
     @requires_compiler
-    def test_feature_id_above_the_table_limit_is_a_model_error(
-            self, tmp_path, capsys):
-        # A split on feature id MAX_TABLE_FID + 1: a valid model, which the
-        # predicated tables cannot hold.
-        f = MAX_TABLE_FID + 2
+    def test_feature_id_past_uint16_scores_bit_exactly(self, tmp_path):
+        # A split on feature id 65,536, which a uint16 would wrap to 0: the
+        # predicated tables hold int32 ids, so bench and tune pass their
+        # bit-exact gate on it and exit 0.
+        f = 65_537
         model = tmp_path / "wide.tree"
-        save_model(Ensemble(f, [Tree(Node.internal(
-            f - 1, 0.5, Node.leaf(1.0), Node.leaf(2.0)))]), model)
+        save_model(Ensemble(f, [(Tree(Node.internal(
+            f - 1, 0.5, Node.leaf(1.0), Node.leaf(float(t)))), 0.5)
+            for t in range(64)]), model)
+        X = np.zeros((64, f), dtype=np.float32)
+        X[:, f - 1] = np.resize(np.array([0.25, 0.5, np.nan, -np.inf],
+                                         dtype=np.float32), 64)
         data = tmp_path / "wide.fvec"
-        write_fvec(data, Dataset(np.zeros((2, f), dtype=np.float32)))
+        write_fvec(data, Dataset(X))
         assert run(["validate", str(model)]) == 0
-        for argv in (["bench", "--strategies", "predicated", "--trials", "2"],
-                     ["tune", "--batches", "4"]):
-            capsys.readouterr()
+        for argv, strategy in (
+                (["bench", "--strategies", "predicated", "--trials", "2"],
+                 "predicated"),
+                (["tune", "--batches", "4"], "vpredicated")):
+            out = tmp_path / "r.csv"
             assert run(argv + ["--model", str(model), "--data", str(data),
-                               "--out", str(tmp_path / "r.csv")]) == 2
-            assert "MAX_TABLE_FID=65535" in capsys.readouterr().err
+                               "--out", str(out)]) == 0
+            rows = parse_csv(out.read_text()).rows
+            assert [(row.strategy, row.features) for row in rows] == [
+                (strategy, f)]
 
 
 class TestCoverageCommand:

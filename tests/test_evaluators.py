@@ -12,11 +12,8 @@ import pytest
 
 from treescore import (
     MAX_DEPTH,
-    MAX_TABLE_FID,
     DepthLimitError,
     Ensemble,
-    FeatureLimitError,
-    ModelError,
     Node,
     StrategyKind,
     Tree,
@@ -291,14 +288,14 @@ class TestStorage:
         # pointer, fid, threshold, two children) and a 16-byte one per leaf
         # (type pointer, value).
         heap = 2 * 8 + 2 * 32 + 4 * 16 + weights
-        # uint16 fid and float32 theta per internal entry, float32 leaves;
-        # per tree two int64 offsets and an int32 depth.
-        complete = 3 * (2 + 4) + 5 * 4 + 2 * (8 + 8 + 4) + weights
+        # A 16-byte entry per node (int32 fid, float32 theta, int32 left,
+        # float32 value); per tree an int32 root and an int32 depth.
+        predicated = 6 * 16 + 2 * 4 + 2 * 4 + weights
         for kind, v, want in ((StrategyKind.CONTIGUOUS, None, contiguous),
                               (StrategyKind.COMPACT_LINKED, None, compact),
                               (StrategyKind.HEAP_LINKED, None, heap),
-                              (StrategyKind.PREDICATED, None, complete),
-                              (StrategyKind.VPREDICATED, 4, complete)):
+                              (StrategyKind.PREDICATED, None, predicated),
+                              (StrategyKind.VPREDICATED, 4, predicated)):
             assert build(ens, kind, v).table_bytes == want, kind
         assert codegen.build_generated(ens).table_bytes == 0
 
@@ -394,6 +391,69 @@ class TestNodeTables:
         with pytest.raises(ValueError, match="11 nodes exceed"):
             native._contiguous_entries(*tables)
 
+    # The same trees with the single leaf first, where its self-loop is
+    # left = -1, then the stump and the unbalanced tree.
+    LEAF_FIRST = Ensemble(4, ENSEMBLE.trees[1:] + ENSEMBLE.trees[:1])
+
+    def test_predicated_entries(self):
+        # A split holds its left child's index, and a leaf fid 0, theta
+        # NaN and its own index - 1.
+        nodes, roots = native._predicated_entries(
+            *native._pack_nodes(self.LEAF_FIRST, breadth_first=True))
+        assert nodes.dtype == native.PREDICATED_ENTRY
+        assert nodes.dtype.itemsize == 16
+        assert nodes["fid"].tolist() == [0, 3, 0, 0, 0, 1, 0, 0, 2, 0, 0]
+        leaf = [0, 2, 3, 6, 7, 9, 10]
+        assert np.isnan(nodes["theta"][leaf]).all()
+        assert np.delete(nodes["theta"], leaf).tolist() == [0.75, 0.5, 0.25,
+                                                            0.125]
+        assert nodes["left"].tolist() == [-1, 2, 1, 2, 5, 7, 5, 6, 9, 8, 9]
+        assert nodes["value"].tolist() == [5.0, 0.0, 6.0, 7.0, 0.0, 0.0, 4.0,
+                                           1.0, 0.0, 2.0, 3.0]
+        assert roots.dtype == np.int32
+        assert roots.tolist() == [0, 1, 4]
+
+    def test_predicated_table_limit(self, monkeypatch):
+        # Indices are int32, so the table may hold at most 2^31 entries.
+        tables = native._pack_nodes(self.LEAF_FIRST, breadth_first=True)
+        monkeypatch.setattr(native, "PREDICATED_TABLE_LIMIT", 11)
+        native._predicated_entries(*tables)
+        monkeypatch.setattr(native, "PREDICATED_TABLE_LIMIT", 10)
+        with pytest.raises(ValueError, match="11 nodes exceed"):
+            native._predicated_entries(*tables)
+
+    def test_predicated_update_ends_on_the_reference_leaf(self):
+        # The kernel's update, applied depth times from each root, ends on
+        # the breadth-first index of the leaf the reference walk reaches,
+        # on rows with ties, NaN and infinities.
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            ens = random_ensemble(rng, 8, int(rng.integers(1, 12)),
+                                  int(rng.integers(0, 8)))
+            nodes, roots = native._predicated_entries(
+                *native._pack_nodes(ens, breadth_first=True))
+            pool = [n.threshold for t, _ in ens.trees for n in _nodes(t)
+                    if not n.is_leaf] + [np.nan, np.inf, -np.inf]
+            X = random_matrix(rng, 64, 8)
+            X[:16] = rng.choice(np.array(pool, dtype=np.float32), size=(16, 8))
+            index = {}          # id of a node -> its breadth-first index
+            for tree, _ in ens.trees:
+                level = [tree.root]
+                while level:
+                    for node in level:
+                        index[id(node)] = len(index)
+                    level = [c for n in level if not n.is_leaf
+                             for c in (n.left, n.right)]
+            for (tree, _), root in zip(ens.trees, roots.tolist()):
+                assert root == index[id(tree.root)]
+                i = np.full(X.shape[0], root)
+                for _ in range(tree.depth):
+                    e = nodes[i]
+                    i = e["left"] + 1 - (X[np.arange(X.shape[0]), e["fid"]]
+                                         < e["theta"])
+                want = [index[id(traverse_to_leaf(tree.root, x))] for x in X]
+                assert i.tolist() == want
+
 
 LINKED_LAYOUTS = ((StrategyKind.HEAP_LINKED, None),
                   (StrategyKind.COMPACT_LINKED, None),
@@ -451,12 +511,9 @@ class TestLayoutKernels:
         ens = random_ensemble(rng, 8, 6, 6)
         thresholds = {}
         for t, _ in ens.trees:
-            stack = [t.root]
-            while stack:
-                node = stack.pop()
+            for node in _nodes(t):
                 if not node.is_leaf:
                     thresholds.setdefault(node.fid, []).append(node.threshold)
-                    stack += [node.left, node.right]
         X = random_matrix(rng, 300, 8)
         for fid, values in thresholds.items():
             X[:, fid] = rng.choice(values, size=X.shape[0])
@@ -500,9 +557,10 @@ class TestLayoutKernels:
 
     def test_feature_ids_at_the_table_limit(self):
         # Splits on the two largest ids a uint16 holds and on ids 0 and 1,
-        # in an unbalanced tree, so dummy slots (fid 0) sit among them.
-        f = MAX_TABLE_FID + 1
-        top = MAX_TABLE_FID
+        # in an unbalanced tree, so self-looping leaves (fid 0) sit among
+        # them.
+        top = 65_535
+        f = top + 1
         tree = Tree(Node.internal(
             top, 0.5,
             Node.internal(0, 0.25, Node.leaf(-1.0), Node.leaf(-2.0)),
@@ -525,26 +583,41 @@ class TestLayoutKernels:
             ens, X, ((StrategyKind.PREDICATED, None),
                      (StrategyKind.VPREDICATED, 4)))
 
-    def test_feature_id_above_the_table_limit(self, monkeypatch):
-        # A uint16 would wrap id MAX_TABLE_FID + 1 to 0 without an error.
-        f = MAX_TABLE_FID + 2
+    def test_feature_id_above_the_table_limit(self):
+        # Every table holds int32 ids, so a split on id 65,536, which a
+        # uint16 would wrap to 0, scores bit-exactly on every layout.
+        f = 65_537
         ens = Ensemble(f, [(Tree(Node.leaf(0.5)), 1.0), (Tree(Node.internal(
             f - 1, 0.5, Node.leaf(1.0), Node.leaf(2.0))), 1.0)])
+        X = np.zeros((6, f), dtype=np.float32)
+        X[:, 0] = 1.0
+        X[:, f - 1] = (0.25, 0.75, 0.5, np.nan, np.inf, -np.inf)
+        assert_layouts_match_reference(ens, X)
+        for kind, v in TABLE_BUILDS:
+            scores = build(ens, kind, v).predict_batch(X)
+            assert scores.tolist() == [1.5, 2.5, 2.5, 2.5, 2.5, 1.5], (kind, v)
 
-        def never(tree):
-            raise AssertionError("expanded a tree past the feature limit")
-
-        monkeypatch.setattr(native, "expand_to_complete", never)
-        for kind, v in ((StrategyKind.PREDICATED, None),
-                        (StrategyKind.VPREDICATED, 4)):
-            with pytest.raises(FeatureLimitError,
-                               match=f"feature id {f - 1} exceeds"):
-                build(ens, kind, v)
-        assert issubclass(FeatureLimitError, ModelError)
-        # The other table layouts keep int32 ids.
-        X = np.zeros((2, f), dtype=np.float32)
-        X[:, f - 1] = (0.25, 0.75)
-        assert_layouts_match_reference(ens, X, LINKED_LAYOUTS)
+    def test_predicated_lanes_bit_exact(self):
+        # Unbalanced trees, so lanes park on self-looping leaves, over rows
+        # of ties, NaN and infinities; n below v and not a multiple of v.
+        rng = np.random.default_rng(42)
+        ens = random_ensemble(rng, 8, 12, 7)
+        thresholds = sorted({n.threshold for t, _ in ens.trees
+                             for n in _nodes(t) if not n.is_leaf})
+        pool = np.array(thresholds + [np.nan, np.inf, -np.inf],
+                        dtype=np.float32)
+        for n in (2, 37, 101):
+            X = random_matrix(rng, n, 8)
+            mask = rng.random(X.shape) < 0.5
+            X[mask] = rng.choice(pool, size=int(mask.sum()))
+            expected = reference_batch(ens, X).view(np.uint64)
+            for v in (1, 3, 16, 64):
+                ev = build(ens, StrategyKind.VPREDICATED, v)
+                assert np.array_equal(ev.predict_batch(X).view(np.uint64),
+                                      expected), (n, v)
+            ev = build(ens, StrategyKind.PREDICATED)
+            rows = np.array([ev.predict(x) for x in X])
+            assert np.array_equal(rows.view(np.uint64), expected), n
 
     def test_lane_counts_and_remainders(self):
         # The empty batch, and row counts below and above each v (and the
@@ -813,13 +886,14 @@ class TestLayoutKernelResources:
     @requires_compiler
     @pytest.mark.parametrize("dtype", [np.int32, np.float64])
     def test_tables_of_another_dtype_are_refused(self, monkeypatch, dtype):
-        complete_tables = native._complete_tables
+        # The entries read as plain words of another dtype.
+        predicated_entries = native._predicated_entries
 
-        def widened(ensemble):
-            (fids, *rest), entries = complete_tables(ensemble)
-            return (fids.astype(dtype), *rest), entries
+        def reinterpreted(*tables):
+            nodes, roots = predicated_entries(*tables)
+            return nodes.view(dtype), roots
 
-        monkeypatch.setattr(native, "_complete_tables", widened)
+        monkeypatch.setattr(native, "_predicated_entries", reinterpreted)
         ens = Ensemble(2, [chain_tree(3)])
         for kind, v in ((StrategyKind.PREDICATED, None),
                         (StrategyKind.VPREDICATED, 4)):
@@ -874,6 +948,15 @@ class TestTracing:
             traced = predict_ensemble_traced(ens, x)
             assert traced.visited_features == frozenset(expected_feats)
             assert traced.score == reference_predict(ens, x)
+
+
+def _nodes(tree: Tree):
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not node.is_leaf:
+            stack += [node.left, node.right]
 
 
 def traverse_value(tree: Tree, x) -> float:

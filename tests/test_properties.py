@@ -4,8 +4,9 @@ Hypothesis draws random and degenerate ensembles (single leaves, chains up
 to ``MAX_DEPTH``, thresholds drawn from a small pool that the features
 reuse, so ties are common) and batches with NaN, +inf and -inf features,
 the empty batch included.  Every strategy must reproduce
-:func:`reference_batch` bit for bit, also over ``MAX_TABLE_FID + 1``
-features with splits on the largest ids the predicated tables hold.  ``generated`` compiles a unit per
+:func:`reference_batch` bit for bit, also over ``TOP_FID + 1`` features
+with splits on the largest id a uint16 holds and the one past it, so no
+narrowing of the ids could pass unseen.  ``generated`` compiles a unit per
 example, so it gets a small budget of random trees only.  The search is
 derandomized, so each run checks the same examples.
 """
@@ -15,7 +16,6 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from treescore import (
     MAX_DEPTH,
-    MAX_TABLE_FID,
     Ensemble,
     Node,
     StrategyKind,
@@ -35,9 +35,10 @@ THRESHOLDS = tuple(float(np.float32(t)) for t in
 finite = st.floats(-1e6, 1e6, width=32)
 values = st.one_of(finite, st.sampled_from(THRESHOLDS))
 features = st.one_of(values, st.sampled_from((np.nan, np.inf, -np.inf)))
-# The ids split on in the wide cases: the two smallest, and the two
-# largest that fit the uint16 ids of the predicated tables.
-LIMIT_FIDS = (0, 1, MAX_TABLE_FID - 1, MAX_TABLE_FID)
+# The ids split on in the wide cases: the two smallest, the largest a
+# uint16 holds, and the one past it.
+TOP_FID = 65_536
+LIMIT_FIDS = (0, 1, TOP_FID - 1, TOP_FID)
 
 
 @st.composite
@@ -71,11 +72,11 @@ def chains(draw, fids):
 
 @st.composite
 def cases(draw, with_chains=True, wide=False):
-    """An ensemble and a batch.  ``wide`` cases have ``MAX_TABLE_FID + 1``
+    """An ensemble and a batch.  ``wide`` cases have ``TOP_FID + 1``
     features and split on :data:`LIMIT_FIDS` only; the other features of
     their rows are 0."""
     if wide:
-        f, columns = MAX_TABLE_FID + 1, list(LIMIT_FIDS)
+        f, columns = TOP_FID + 1, list(LIMIT_FIDS)
         fids = st.sampled_from(LIMIT_FIDS)
     else:
         f = draw(st.integers(1, 6))
@@ -113,15 +114,15 @@ def test_every_strategy_matches_reference_bit_for_bit(case):
 
 
 # A tree that splits on the two largest ids, one of them twice, with a
-# leaf at depth 1 that puts dummy slots (fid 0) beside them; the rows carry
+# leaf at depth 1 that loops to itself (fid 0) beside them; the rows carry
 # NaN, +inf and -inf in both ids.
 _LIMIT_TREE = Tree(Node.internal(
-    MAX_TABLE_FID, 0.5, Node.leaf(1.0),
-    Node.internal(MAX_TABLE_FID - 1, 0.25, Node.leaf(2.0), Node.internal(
-        MAX_TABLE_FID, 1.0, Node.leaf(3.0), Node.leaf(4.0)))))
-_LIMIT_ROWS = np.zeros((6, MAX_TABLE_FID + 1), dtype=np.float32)
-_LIMIT_ROWS[:, MAX_TABLE_FID] = (np.nan, np.inf, -np.inf, 0.5, 0.75, 1.0)
-_LIMIT_ROWS[:, MAX_TABLE_FID - 1] = (0.25, np.nan, 0.0, 0.5, -np.inf, np.inf)
+    TOP_FID, 0.5, Node.leaf(1.0),
+    Node.internal(TOP_FID - 1, 0.25, Node.leaf(2.0), Node.internal(
+        TOP_FID, 1.0, Node.leaf(3.0), Node.leaf(4.0)))))
+_LIMIT_ROWS = np.zeros((6, TOP_FID + 1), dtype=np.float32)
+_LIMIT_ROWS[:, TOP_FID] = (np.nan, np.inf, -np.inf, 0.5, 0.75, 1.0)
+_LIMIT_ROWS[:, TOP_FID - 1] = (0.25, np.nan, 0.0, 0.5, -np.inf, np.inf)
 
 
 @requires_compiler
@@ -129,8 +130,8 @@ _LIMIT_ROWS[:, MAX_TABLE_FID - 1] = (0.25, np.nan, 0.0, 0.5, -np.inf, np.inf)
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
 @given(cases(wide=True))
-@example((Ensemble(MAX_TABLE_FID + 1, [(_LIMIT_TREE, 0.5),
-                                      (Tree(Node.leaf(0.5)), 1.0)]),
+@example((Ensemble(TOP_FID + 1, [(_LIMIT_TREE, 0.5),
+                                (Tree(Node.leaf(0.5)), 1.0)]),
           _LIMIT_ROWS))
 def test_every_strategy_matches_reference_at_the_fid_limit(case):
     assert_every_strategy_matches_reference(case)
