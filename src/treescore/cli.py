@@ -282,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "freshly generated vectors).  With --sweep, regenerates "
                     "a tree and dataset per trial over the default "
                     "depth {3,5,7,9,11} x features {32,128,512} grid.  "
-                    "Batch remainders are a shorter batch (no padding).")
+                    "vpredicated scores the rows that do not fill a "
+                    "batch one at a time, 8 trees in lockstep (no padding).")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--model", help="model path")
     mode.add_argument("--sweep", action="store_true",

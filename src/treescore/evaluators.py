@@ -30,9 +30,12 @@ predicated
     it.  Depth is capped at :data:`~treescore.model.MAX_DEPTH`.
 vpredicated
     The same index update applied to ``v`` instances in lockstep, one tree
-    level per step.  ``v=1`` reduces to the predicated path.  Batch
-    remainders (the last ``n mod v`` rows) are a shorter block, never
-    padded with fabricated instances.
+    level per step.  ``v=1`` reduces to the predicated path.  The rows of
+    a short block (all of a call of fewer than ``v`` rows, else the last
+    ``n mod v``) are never padded with fabricated instances: each is
+    scored on its own, 8 of its trees in lockstep at a time, with the
+    leaves added in tree order (an ensemble of fewer than 8 trees gives
+    the block fewer row lanes instead).
 
 All five strategies built here score whole ensembles in the native
 kernels of :mod:`treescore.native`, so that their comparisons measure

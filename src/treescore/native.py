@@ -52,8 +52,12 @@ predicated and vpredicated
     left child its own index - 1, so it loops to itself.  Rows go in
     blocks of ``v`` lanes (``v = 1`` for ``predicated``); per tree every
     lane starts at the root and, ``depth`` times, applies
-    ``i = left[i] + 1 - (x[fid[i]] < theta[i])``, then adds its leaf.  A
-    short last block simply has fewer lanes.
+    ``i = left[i] + 1 - (x[fid[i]] < theta[i])``, then adds its leaf.
+    ``vpredicated`` scores each row of a short block (all of a call of
+    fewer than ``v`` rows, else the last ``n mod v``) on its own, with
+    lanes over its trees instead: 8 trees at a time step as deep as the
+    deepest of them, and their leaves are added in tree order.  An
+    ensemble of fewer than 8 trees gives a short block fewer row lanes.
 
 The objects of both linked layouts come from one C builder,
 ``linked_build``: one ``malloc`` per entry of the depth-first node tables,
@@ -120,7 +124,7 @@ typedef struct {
     const double *weights;
     int64_t num_trees;
     int64_t f;                  /* features per row */
-    int64_t v;                  /* lanes per block, predicated_score only */
+    int64_t v;                  /* rows per block, predicated kernels only */
 } model;
 
 /* A contiguous entry: a node and its children's byte offsets in the
@@ -648,6 +652,73 @@ PyMODINIT_FUNC PyInit__treescore_kernels(void)
     Py_DECREF(type);
     return module;
 }
+
+/* vpredicated: every full block of v rows goes to predicated_score, and
+   each row of a short block (the whole call when n < v, else the last
+   n mod v rows) is scored on its own, ROW_LANES of its trees at a time.
+   A group steps as many levels as its deepest tree, a lane on a leaf
+   staying there, and then adds its leaves in tree order, so the score is
+   bit-identical.  Eight lanes' offsets fit in x86-64's general registers
+   beside the pointers the loop needs.  An ensemble of fewer trees keeps
+   a short block of fewer lanes.  table: that of predicated_score.
+
+   The code sits in a section of its own, linked after the rest (see
+   METHOD), and calls predicated_score through a hidden alias, not through
+   a new PLT entry: either would move every kernel (see contiguous_score).
+   The entry point is exported, so naming it adds no import either. */
+#define ROW_LANES 8
+#define ROW_LANES_CODE __attribute__((section(".text.vpredicated")))
+
+extern int predicated_local(const void *, const float *, int64_t, double *)
+    __attribute__((alias("predicated_score"), visibility("hidden")));
+
+static ROW_LANES_CODE
+double row_lanes_score(const model *m, const float *row)
+{
+    const char *nodes = m->table[0];
+    const int32_t *roots = m->table[1], *depth = m->table[2];
+    const int64_t trees = m->num_trees;
+    double acc = 0.0;
+    for (int64_t t = 0; t < trees; t += ROW_LANES) {
+        /* The last group ends at the last tree and adds only the trees no
+           group before it added. */
+        const int64_t s = t + ROW_LANES <= trees ? t : trees - ROW_LANES;
+        int64_t offset[ROW_LANES];
+        int32_t levels = 0;
+#pragma GCC unroll 8
+        for (int k = 0; k < ROW_LANES; k++) {
+            offset[k] = (int64_t) roots[s + k] * (int64_t) sizeof(pentry);
+            levels = depth[s + k] > levels ? depth[s + k] : levels;
+        }
+        for (int32_t level = 0; level < levels; level++)
+#pragma GCC unroll 8
+            for (int k = 0; k < ROW_LANES; k++) {
+                const pentry *e = (const pentry *) (nodes + offset[k]);
+                offset[k] = ((int64_t) e->left + 1 - (row[e->fid] < e->theta))
+                            * (int64_t) sizeof(pentry);
+            }
+#pragma GCC unroll 8
+        for (int k = 0; k < ROW_LANES; k++)
+            if (s + k >= t)
+                acc += m->weights[s + k]
+                    * (double) ((const pentry *) (nodes + offset[k]))->value;
+    }
+    return acc;
+}
+
+ROW_LANES_CODE
+int vpredicated_score(const void *bound, const float *x, int64_t n, double *out)
+{
+    const model *m = bound;
+    /* n mod v, without a division when n < v, the common online case */
+    const int64_t rest = m->num_trees < ROW_LANES ? 0
+                         : n < m->v ? n : n % m->v;
+    if (n > rest && predicated_local(bound, x, n - rest, out))
+        return -1;
+    for (int64_t i = n - rest; i < n; i++)
+        out[i] = row_lanes_score(m, x + i * m->f);
+    return 0;
+}
 """
 
 # The module name the binding's init function is named after.
@@ -950,7 +1021,8 @@ def layout_kernel(ensemble: Ensemble, layout: str, v: int = 1):
                   np.array(depths, dtype=np.int32))
         entries = sum((1 << (d + 1)) - 1 for d in depths)
         lib = load_layout_kernels()
-        score = lib.predicated_score
+        score = (lib.vpredicated_score if layout == "vpredicated"
+                 else lib.predicated_score)
     elif layout in ("heap_linked", "compact_linked", "contiguous"):
         tables = _pack_nodes(ensemble, breadth_first=layout == "contiguous")
         entries = tables[0].shape[0]

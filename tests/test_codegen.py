@@ -22,6 +22,7 @@ from treescore import (
 )
 from treescore.codegen import (
     GENERATED_FLAGS,
+    LINK_FLAGS,
     MAX_INDENT,
     OPT_FLAGS,
     CompilationError,
@@ -84,6 +85,53 @@ def test_no_fused_multiply_add_on_fma_targets(tmp_path, unit):
     if unit == "layout-kernels":
         # The check can fail: at -O3 without the flag, the compiler fuses.
         assert fused([f for f in flags if f != "-ffp-contract=off"]) > 0
+
+
+
+def library_symbols(tmp_path, name, source):
+    """``source`` linked as the layout-kernel library is, at its shipped
+    flags: ``nm -n``'s address of each function, and ``nm -u``'s imports."""
+    path = tmp_path / f"{name}.c"
+    path.write_text(source, encoding="utf-8")
+    lib = tmp_path / f"{name}.so"
+    cmd = [find_compiler(), *OPT_FLAGS, *LINK_FLAGS,
+           f"-I{sysconfig.get_paths()['include']}", "-o", str(lib), str(path)]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+    def nm(*flags):
+        return subprocess.run(["nm", *flags, str(lib)], capture_output=True,
+                              text=True, check=True).stdout.splitlines()
+
+    addresses = {}
+    for line in nm("-n"):
+        fields = line.split()
+        if len(fields) == 3 and fields[1] in "tT":
+            addresses[fields[2]] = int(fields[0], 16)
+    return addresses, sorted(line.split()[-1] for line in nm("-u"))
+
+
+@requires_compiler
+@pytest.mark.skipif(shutil.which("nm") is None, reason="needs nm")
+def test_kernel_placement(tmp_path):
+    """The kernels sit where their speed was measured.  A kernel's speed
+    moves with its address, so the first two start on 64-byte boundaries,
+    the four come in source order, and the short-block code of
+    ``vpredicated`` comes after the binding, adds no import (which would
+    grow the PLT ahead of every kernel) and moves no other function."""
+    addresses, imports = library_symbols(tmp_path, "full", native._SOURCE)
+    cut = native._SOURCE.index("\n/* vpredicated:")
+    before, imports_before = library_symbols(tmp_path, "before",
+                                             native._SOURCE[:cut])
+    assert addresses["contiguous_score"] % 64 == 0
+    assert addresses["compact_score"] % 64 == 0
+    assert (addresses["contiguous_score"] < addresses["compact_score"]
+            < addresses["predicated_score"] < addresses["heap_score"])
+    assert addresses["vpredicated_score"] > addresses[
+        "PyInit__treescore_kernels"]
+    del before["_fini"]         # the linker puts it after the code
+    assert {name: addresses[name] for name in before} == before
+    assert imports == imports_before
 
 
 class TestEmission:

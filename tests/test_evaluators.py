@@ -149,7 +149,7 @@ class TestPredictBatch:
             out = ev.predict_batch(np.zeros((0, 4), dtype=np.float32))
             assert out.shape == (0,)
 
-    def test_remainder_rows_use_scalar_path(self):
+    def test_remainder_rows_equal_single_row_scores(self):
         rng = np.random.default_rng(9)
         ens = random_ensemble(rng, 8, 3, 5)
         X = random_matrix(rng, 5, 8)
@@ -660,6 +660,53 @@ class TestLayoutKernels:
             for scores in rounds:
                 for (kind, v), out in zip(labels, scores):
                     assert np.array_equal(out, expected[k]), (kind, v, k)
+
+
+@pytest.mark.usefixtures("layout_path")
+class TestTreeLanes:
+    """The rows of a short ``vpredicated`` block (all of a call of fewer
+    than v rows, else the last n mod v) are scored one at a time,
+    ``ROW_LANES`` = 8 trees at a time; an ensemble of fewer trees keeps a
+    short block of fewer lanes."""
+
+    @staticmethod
+    def ensemble(rng, num_trees, f=6):
+        # The first tree is a single leaf, the table's first entry, so its
+        # self-loop stores left = -1; the rest mix depths 0 to 7, balanced
+        # and pruned.
+        trees = [(Tree(Node.leaf(float(rng.normal()))), 0.75)]
+        for t in range(1, num_trees):
+            depth = int(rng.integers(0, 8))
+            tree = (random_unbalanced_tree(rng, depth, f) if t % 2 else
+                    gen_tree(GenConfig(depth=depth, num_features=f,
+                                       seed=int(rng.integers(2**31)))))
+            trees.append((tree, float(rng.uniform(-1.5, 1.5))))
+        return Ensemble(f, trees)
+
+    @staticmethod
+    def rows(rng, ens, n):
+        # Half the values tie with a threshold or are NaN or +-inf.
+        pool = np.array(sorted({node.threshold for t, _ in ens.trees
+                                for node in _nodes(t) if not node.is_leaf})
+                        + [np.nan, np.inf, -np.inf], dtype=np.float32)
+        X = random_matrix(rng, n, ens.num_features)
+        mask = rng.random(X.shape) < 0.5
+        X[mask] = rng.choice(pool, size=int(mask.sum()))
+        return X
+
+    @pytest.mark.parametrize("num_trees", [1, 7, 8, 9, 13])
+    def test_every_row_count_bit_exact(self, num_trees):
+        rng = np.random.default_rng(50 + num_trees)
+        ens = self.ensemble(rng, num_trees)
+        X = read_only(self.rows(rng, ens, 2 * 64 + 1))
+        expected = reference_batch(ens, X).view(np.uint64)
+        for v in (2, 3, 16, 64):
+            ev = build(ens, StrategyKind.VPREDICATED, v)
+            for n in range(2 * v + 2):
+                got = ev.predict_batch(X[:n]).view(np.uint64)
+                assert np.array_equal(got, expected[:n]), (num_trees, v, n)
+            rows = np.array([ev.predict(x) for x in X]).view(np.uint64)
+            assert np.array_equal(rows, expected), (num_trees, v)
 
 
 def native_evaluators(ens):
