@@ -2,8 +2,10 @@
 
 Walks the logical model layer: nodes, trees, ensembles, the text format,
 and the complete-table expansion, which models the d steps per tree that
-the predicated strategies take (their leaves loop to themselves instead of
-sitting on dummy subtrees).
+the predicated strategies take.  Then it scores one row with the shipped
+``predicated`` evaluator, whose table stores one entry per node and lets a
+leaf loop to itself instead of sitting on a dummy subtree (it needs a C
+compiler; without one, only the reference traversal scores).
 """
 
 import numpy as np
@@ -52,9 +54,16 @@ print("thetas:", ct.thetas.tolist(), "   (+inf marks a dummy slot)")
 print("leaves:", ct.leaf_values.tolist())
 
 x = np.array([0.2, 0.9], dtype=np.float32)
-ordinal = ts.leaf_index_predicated(ct, x)
-print(f"\npredicated walk for x={x.tolist()}: leaf ordinal {ordinal}, "
-      f"value {float(ct.leaf_values[ordinal])}")
-print("matches recursive traversal:",
-      float(ct.leaf_values[ordinal])
-      == ts.traverse_to_leaf(tree.root, x).value)
+reference = ts.traverse_to_leaf(tree.root, x).value
+print(f"\nrecursive traversal for x={x.tolist()}: leaf value {reference}")
+single = ts.Ensemble(2, [tree])
+try:
+    predicated = ts.build(single, "predicated")
+except ts.CompilerNotFoundError as exc:
+    print(f"note: {exc}; the predicated strategy cannot run")
+else:
+    score = predicated.predict(x)
+    print(f"predicated strategy: score {score}, matches: {score == reference}")
+    print(f"its table: {predicated.table_bytes} bytes for {tree.node_count} "
+          f"nodes; stored_node_count {predicated.stored_node_count} counts "
+          "the complete tree above")

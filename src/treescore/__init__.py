@@ -41,11 +41,8 @@ from .evaluators import (
     StrategyKind,
     TracedPrediction,
     build,
-    leaf_index_predicated,
-    predicated_index_path,
     predict_ensemble_traced,
     reference_batch,
-    vpredicated_index_paths,
 )
 from .codegen import (
     CompilationError,

@@ -60,16 +60,13 @@ from .evaluators import (
     predict_ensemble_traced,
     reference_batch,
 )
-from .model import MAX_DEPTH, Ensemble, tree_stats
+from .model import Ensemble, tree_stats
 from .synth import GenConfig, gen_leaf_uniform_vectors, gen_tree
 
 CSV_HEADER = "strategy,depth,features,batch,trial,elapsed_ns,instances,ns_per_instance"
 
 # The vpredicated batch sizes a benchmark or tuning run measures by default.
 DEFAULT_BATCH_SIZES = (1, 8, 16, 32, 64)
-
-_PREDICATED_KINDS = (StrategyKind.PREDICATED, StrategyKind.VPREDICATED)
-
 
 class TimerResolutionError(RuntimeError):
     """Elapsed time too close to clock granularity to be meaningful."""
@@ -107,13 +104,6 @@ class BenchConfig:
             raise ValueError("at least one strategy is required")
         if any(v < 1 for v in self.batch_sizes):
             raise ValueError("batch sizes must be >= 1")
-        if any(k in self.strategies for k in _PREDICATED_KINDS):
-            too_deep = [d for d in self.depths if d > MAX_DEPTH]
-            if too_deep:
-                raise ValueError(
-                    f"depths {too_deep} exceed MAX_DEPTH={MAX_DEPTH} for "
-                    "predicated strategies"
-                )
 
 
 @dataclass
@@ -384,8 +374,8 @@ def best_batch_sizes(report: BenchReport) -> dict:
 def measure_feature_coverage(ensemble: Ensemble, data: Dataset) -> CoverageReport:
     """Mean fraction of features examined while scoring each instance.
 
-    Uses the traced traversal, so only real splits count (a complete-table
-    layout's dummy nodes never exist in the logical trees being traced).
+    Uses the traced traversal, so only the splits of the logical trees
+    count.
     """
     f = ensemble.num_features
     matrix = data.matrix

@@ -27,7 +27,7 @@ predicated
     index update
     ``i = left[i] + 1 - (x[fid[i]] < theta[i])`` is applied ``d`` times,
     one instance at a time, so a lane that reaches a leaf early stays on
-    it.  Depth is capped at :data:`~treescore.model.MAX_DEPTH`.
+    it.  It takes trees of any depth.
 vpredicated
     The same index update applied to ``v`` instances in lockstep, one tree
     level per step.  ``v=1`` reduces to the predicated path.  The rows of
@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import native
-from .model import CompleteTree, Ensemble, reference_predict
+from .model import Ensemble, reference_predict
 
 
 class StrategyKind(enum.Enum):
@@ -74,58 +74,6 @@ class StrategyKind(enum.Enum):
 
 
 ALL_STRATEGIES = tuple(StrategyKind)
-
-
-# ---------------------------------------------------------------------------
-# Predication index oracles
-# ---------------------------------------------------------------------------
-#
-# Generic loop forms of the branch-free index update over a complete
-# tree, one instance or one lockstep batch at a time: the d steps per tree
-# that the predicated pair's stored_node_count counts.  The native kernel
-# takes the same steps over self-looping breadth-first entries instead;
-# the tests hold these to the reference traversal and to each other.
-
-def leaf_index_predicated(ct: CompleteTree, x) -> int:
-    """Branch-free leaf lookup: apply the index update exactly ``d`` times.
-
-    Returns the leaf ordinal ``i - (2^d - 1)`` in ``[0, 2^d)``.
-    """
-    fids = ct.fids
-    thetas = ct.thetas
-    i = 0
-    for _ in range(ct.depth):
-        i = (i << 1) + 2 - (float(x[fids[i]]) < float(thetas[i]))
-    return i - ((1 << ct.depth) - 1)
-
-
-def predicated_index_path(ct: CompleteTree, x) -> list:
-    """Traversal-index sequence visited by the scalar kernel (root included)."""
-    fids = ct.fids
-    thetas = ct.thetas
-    i = 0
-    path = [0]
-    for _ in range(ct.depth):
-        i = (i << 1) + 2 - (float(x[fids[i]]) < float(thetas[i]))
-        path.append(i)
-    return path
-
-
-def vpredicated_index_paths(ct: CompleteTree, matrix) -> np.ndarray:
-    """Per-level traversal indices for a whole batch, shape (d+1, v).
-
-    Row ``k`` holds every instance's traversal index after ``k`` update
-    steps of the lockstep batch kernel.
-    """
-    V = np.ascontiguousarray(matrix, dtype=np.float32)
-    v = V.shape[0]
-    rows = np.arange(v)
-    i = np.zeros(v, dtype=np.intp)
-    out = [i.copy()]
-    for _ in range(ct.depth):
-        i = (i << 1) + 2 - (V[rows, ct.fids[i]] < ct.thetas[i])
-        out.append(i.copy())
-    return np.stack(out)
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +95,14 @@ class Evaluator:
     entries or node objects the kernel's model stores, and ``table_bytes``
     the bytes of every array and object it points to (0 for
     ``generated``, whose model is machine code).  For the predicated pair
-    ``stored_node_count`` is the 2^(d+1) - 1 entries of each tree's
-    complete tree: every lane takes all d steps of the complete tree, and
-    a leaf that loops to itself above the bottom level stands for its
-    subtree of dummy nodes.  Their ``table_bytes`` is the physical size,
-    one 16-byte entry per node.
+    ``stored_node_count`` is the 2^(d+1) - 1 nodes of each tree's
+    complete tree, whose d levels every lane steps through (a leaf above
+    the bottom level loops to itself for the steps left), because the
+    benchmark in ``perfbench/`` checks that figure; it becomes the logical
+    count when the benchmark does.  No complete tree is built, so past
+    :data:`~treescore.model.MAX_DEPTH` levels it counts nodes that
+    :func:`~treescore.model.expand_to_complete` would refuse to build.
+    Their ``table_bytes`` is the physical size, one 16-byte entry per node.
     """
 
     # A constant, kept because the benchmark in ``perfbench/`` reads it on
@@ -185,9 +136,8 @@ def build(ensemble: Ensemble, kind, batch_size: int | None = None) -> Evaluator:
     Every kind runs native code and raises
     :class:`~treescore.codegen.CompilerNotFoundError` without a host
     compiler or the Python headers.  ``generated`` evaluators are built by
-    :func:`treescore.codegen.build_generated`.
-    Predicated kinds raise :class:`~treescore.model.DepthLimitError` for
-    trees deeper than :data:`~treescore.model.MAX_DEPTH`.
+    :func:`treescore.codegen.build_generated`.  No kind limits the depth
+    of a tree.
     """
     kind = StrategyKind(kind)
     if kind is StrategyKind.GENERATED:
@@ -222,9 +172,9 @@ def predict_ensemble_traced(ensemble: Ensemble, x) -> TracedPrediction:
     """Score ``x`` while recording which features the traversals examined.
 
     ``visited_features`` is the union of feature ids on the root-to-leaf
-    path taken in every tree (logical trees carry no dummy nodes, so none
-    are counted).  ``visited_leaves`` holds one left-to-right leaf ordinal
-    per tree.  The score equals the untraced prediction exactly.
+    path taken in every tree.  ``visited_leaves`` holds one left-to-right
+    leaf ordinal per tree.  The score equals the untraced prediction
+    exactly.
     """
     visited: set = set()
     leaves = []

@@ -38,10 +38,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# The predicated strategies reject trees deeper than this: every lane
-# takes a tree's full depth in steps, and they count a tree as its complete
-# tree of 2^(d+1)-1 entries (expand_to_complete).  heap_linked,
-# compact_linked, contiguous and generated have no depth limit.
+# expand_to_complete() refuses trees deeper than this, whose complete
+# tables would hold 2^d leaves.  No strategy builds those tables or limits
+# the depth.
 MAX_DEPTH = 16
 
 # Dummy nodes inserted by expand_to_complete().  theta=+inf makes dummies
@@ -71,7 +70,7 @@ class ModelSemanticError(ModelError):
 
 
 class DepthLimitError(ModelError):
-    """Tree too deep for a predicated layout (see :data:`MAX_DEPTH`)."""
+    """Tree too deep for :func:`expand_to_complete` (see :data:`MAX_DEPTH`)."""
 
 
 _FLOAT32 = struct.Struct("f")
@@ -286,6 +285,13 @@ def reference_predict(ensemble: Ensemble, x) -> float:
 # ---------------------------------------------------------------------------
 # Complete-tree expansion
 # ---------------------------------------------------------------------------
+#
+# The documented model of the predicated strategies' d steps per tree, in
+# the paper's form: a complete table in which a leaf above the bottom
+# level becomes a subtree of dummy nodes.  The shipped tables store one
+# entry per node and let a leaf loop to itself instead.  Kept because the
+# benchmark in perfbench/ times expand_to_complete and checks the
+# predicated pair's stored_node_count, the size of these tables.
 
 class CompleteTree:
     """Dense breadth-first node tables for a complete tree of depth ``d``.

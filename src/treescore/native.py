@@ -100,7 +100,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .model import MAX_DEPTH, DepthLimitError, Ensemble
+from .model import Ensemble
 
 _SOURCE = r"""
 #define PY_SSIZE_T_CLEAN
@@ -1004,19 +1004,15 @@ def layout_kernel(ensemble: Ensemble, layout: str, v: int = 1):
     the bytes of every array and object it points to, the weights included,
     each ``compact_linked`` record counted at ``sizeof(node)`` and each
     ``heap_linked`` object at the ``sizeof`` of its type.  A predicated
-    layout counts the entries of each tree's complete tree, whose every
-    level its lanes step through (a leaf above the bottom stands for its
-    subtree), but stores one entry per node.  Raises what
-    :func:`load_layout_kernels` raises, and for a predicated layout
-    :class:`~treescore.model.DepthLimitError` over a tree deeper than
-    :data:`~treescore.model.MAX_DEPTH`.
+    layout counts the nodes of each tree's complete tree, whose every
+    level its lanes step through (a leaf above the bottom loops to
+    itself), but builds no complete tree and stores one entry per node,
+    so it takes trees of any depth.  Raises what
+    :func:`load_layout_kernels` raises.
     """
     objects = 0
     if layout in ("predicated", "vpredicated"):
         depths = [tree.depth for tree, _ in ensemble.trees]
-        if max(depths) > MAX_DEPTH:
-            raise DepthLimitError(f"tree depth {max(depths)} exceeds "
-                                  f"MAX_DEPTH={MAX_DEPTH} for predicated layouts")
         tables = (*_predicated_entries(*_pack_nodes(ensemble, breadth_first=True)),
                   np.array(depths, dtype=np.int32))
         entries = sum((1 << (d + 1)) - 1 for d in depths)

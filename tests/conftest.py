@@ -61,6 +61,14 @@ def chain_tree(depth: int) -> Tree:
     return Tree(node)
 
 
+def complete_table_leaf(ct, x) -> float:
+    """Value of the leaf of complete table ``ct`` that ``x`` reaches in d steps."""
+    i = 0
+    for _ in range(ct.depth):
+        i = 2 * i + 2 - (float(x[ct.fids[i]]) < float(ct.thetas[i]))
+    return float(ct.leaf_values[i - len(ct.fids)])
+
+
 def random_ensemble(rng, num_features: int, num_trees: int, max_depth: int,
                     unbalanced: bool = True) -> Ensemble:
     """Mixed ensemble: balanced generator trees and pruned ones, random weights."""

@@ -26,26 +26,25 @@ from treescore import (
     build_generated,
     expand_to_complete,
     export_csv,
-    leaf_index_predicated,
     measure_feature_coverage,
     parse_csv,
     parse_model,
-    predicated_index_path,
     predict_ensemble_traced,
     reference_batch,
     run_sweep,
     serialize_model,
     traverse_to_leaf,
-    vpredicated_index_paths,
 )
 from treescore.data import Dataset
 from treescore.synth import GenConfig, gen_leaf_uniform_vectors, gen_tree
 
 from conftest import (
     HAS_COMPILER,
+    complete_table_leaf,
     random_ensemble,
     random_matrix,
     random_unbalanced_tree,
+    requires_compiler,
 )
 
 SCALAR_KINDS = (StrategyKind.HEAP_LINKED, StrategyKind.COMPACT_LINKED,
@@ -129,6 +128,29 @@ def test_1_cross_strategy_equivalence():
 # 2. Predication kernel oracle
 # ---------------------------------------------------------------------------
 
+def _ordinal_ensemble(tree: Tree, num_features: int) -> Ensemble:
+    """``tree`` with each leaf's value replaced by its left-to-right ordinal
+    (exact in float32), at weight 1, so a score is the ordinal of the leaf
+    reached."""
+
+    def relabel(node: Node) -> Node:
+        if node.is_leaf:
+            return Node.leaf(tree.leaf_ordinal(node))
+        return Node.internal(node.fid, node.threshold, relabel(node.left),
+                             relabel(node.right))
+
+    return Ensemble(num_features, [(Tree(relabel(tree.root)), 1.0)])
+
+
+def _predicated_ordinals(ens: Ensemble, X) -> list:
+    """The leaf ordinals ``predicated`` and ``vpredicated`` at v in {3, 16}
+    score for the rows of ``X``."""
+    return [build(ens, kind, v).predict_batch(X) for kind, v in (
+        (StrategyKind.PREDICATED, None), (StrategyKind.VPREDICATED, 3),
+        (StrategyKind.VPREDICATED, 16))]
+
+
+@requires_compiler
 def test_2_predication_kernel_oracle():
     checked = 0
     # Exhaustive per-leaf probes for complete trees up to depth 8.
@@ -137,55 +159,53 @@ def test_2_predication_kernel_oracle():
             cfg = GenConfig(depth=depth, num_features=16,
                             num_vectors=1 << depth, seed=seed)
             tree = gen_tree(cfg)
-            ct = expand_to_complete(tree)
             ds, assigned = gen_leaf_uniform_vectors(tree, cfg,
                                                     with_assignments=True)
-            for i in range(ds.count):
-                x = ds.matrix[i]
-                ordinal = leaf_index_predicated(ct, x)
-                assert ordinal == assigned[i]
-                assert ordinal == tree.leaf_ordinal(traverse_to_leaf(tree.root, x))
-                checked += 1
+            reached = [tree.leaf_ordinal(traverse_to_leaf(tree.root, x))
+                       for x in ds.matrix]
+            assert reached == list(assigned)
+            for scores in _predicated_ordinals(_ordinal_ensemble(tree, 16),
+                                               ds.matrix):
+                assert scores.tolist() == reached
+            checked += ds.count
     # Random probes at the deep end.
     rng = np.random.default_rng(202)
     for depth in (9, 11):
         tree = gen_tree(GenConfig(depth=depth, num_features=32, seed=depth))
-        ct = expand_to_complete(tree)
         X = random_matrix(rng, 10000, 32)
-        for i in range(X.shape[0]):
-            x = X[i]
-            assert leaf_index_predicated(ct, x) == \
-                tree.leaf_ordinal(traverse_to_leaf(tree.root, x))
-            checked += 1
+        reached = [tree.leaf_ordinal(traverse_to_leaf(tree.root, x)) for x in X]
+        for scores in _predicated_ordinals(_ordinal_ensemble(tree, 32), X):
+            assert scores.tolist() == reached
+        checked += X.shape[0]
     _line("2 predication kernel oracle", "PASS",
-          f"{checked} probes: exhaustive d<=8 plus 10k random at d in {{9,11}}")
+          f"{checked} probes: exhaustive d<=8 plus 10k random at d in {{9,11}}, "
+          "scored by predicated and vpredicated (v=3, 16)")
 
 
 # ---------------------------------------------------------------------------
-# 3. Lockstep batch at v=1 is step-for-step the scalar kernel
+# 3. Lockstep batch at v=1 scores as the scalar kernel
 # ---------------------------------------------------------------------------
 
-def test_3_vpred_v1_visits_same_indices_as_pred():
+@requires_compiler
+def test_3_vpred_v1_scores_equal_pred():
     rng = np.random.default_rng(303)
     instances = 0
-    tree = gen_tree(GenConfig(depth=7, num_features=32, seed=33))
-    ct = expand_to_complete(tree)
-    X = random_matrix(rng, 1000, 32)
-    for i in range(1000):
-        scalar_path = predicated_index_path(ct, X[i])
-        batch_path = vpredicated_index_paths(ct, X[i:i + 1])[:, 0]
-        assert [int(v) for v in batch_path] == scalar_path
-        instances += 1
-    # Dummy slots must be walked identically too.
+    # A complete tree, and a pruned one whose lanes park on leaves above
+    # the bottom level.
+    complete = gen_tree(GenConfig(depth=7, num_features=32, seed=33))
     pruned = random_unbalanced_tree(np.random.default_rng(34), 8, 16)
-    ct2 = expand_to_complete(pruned)
-    Y = random_matrix(rng, 200, 16)
-    for i in range(200):
-        assert [int(v) for v in vpredicated_index_paths(ct2, Y[i:i + 1])[:, 0]] \
-            == predicated_index_path(ct2, Y[i])
-        instances += 1
+    for tree, f, n in ((complete, 32, 1000), (pruned, 16, 200)):
+        ens = Ensemble(f, [tree])
+        X = random_matrix(rng, n, f)
+        pred = build(ens, StrategyKind.PREDICATED)
+        vpred = build(ens, StrategyKind.VPREDICATED, 1)
+        want = pred.predict_batch(X).view(np.uint64)
+        assert np.array_equal(vpred.predict_batch(X).view(np.uint64), want)
+        rows = np.array([vpred.predict(x) for x in X])
+        assert np.array_equal(rows.view(np.uint64), want)
+        instances += n
     _line("3 vpredicated(v=1) = predicated", "PASS",
-          f"identical node-index sequences on {instances} instances")
+          f"uint64-identical scores on {instances} instances")
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +240,7 @@ def test_5_expansion_preserves_predictions():
         for _ in range(20):
             x = rng.random(16, dtype=np.float32)
             source = traverse_to_leaf(tree.root, x).value
-            expanded = float(ct.leaf_values[leaf_index_predicated(ct, x)])
-            assert expanded == source
+            assert complete_table_leaf(ct, x) == source
             pairs += 1
     assert pairs == 1000
     _line("5 dummy-expansion semantics", "PASS",

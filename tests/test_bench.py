@@ -61,10 +61,11 @@ class TestConfig:
             small_cfg(trials=1)
         with pytest.raises(ValueError):
             small_cfg(instances=0)
-        with pytest.raises(ValueError):
-            small_cfg(strategies=(StrategyKind.PREDICATED,), depths=(3, 17))
-        # Deep trees are fine for linked strategies.
-        small_cfg(strategies=(StrategyKind.CONTIGUOUS,), depths=(3, 17))
+        # No strategy limits the depth.
+        cfg = small_cfg(strategies=(StrategyKind.CONTIGUOUS,
+                                    StrategyKind.PREDICATED,
+                                    StrategyKind.VPREDICATED), depths=(3, 17))
+        assert cfg.depths == (3, 17)
 
     @requires_compiler
     def test_feature_limit(self):

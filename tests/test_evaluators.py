@@ -12,20 +12,15 @@ import pytest
 
 from treescore import (
     MAX_DEPTH,
-    DepthLimitError,
     Ensemble,
     Node,
     StrategyKind,
     Tree,
     build,
-    expand_to_complete,
-    leaf_index_predicated,
-    predicated_index_path,
     predict_ensemble_traced,
     reference_batch,
     reference_predict,
     traverse_to_leaf,
-    vpredicated_index_paths,
 )
 from treescore import Dataset, codegen, native
 from treescore.synth import GenConfig, gen_leaf_uniform_vectors, gen_tree
@@ -60,18 +55,9 @@ class TestBuild:
 
     @requires_compiler
     def test_depth_boundary_for_predicated(self):
-        ens12 = Ensemble(2, [chain_tree(12)])
-        build(ens12, StrategyKind.PREDICATED)
-        ens17 = Ensemble(2, [chain_tree(17)])
-        with pytest.raises(DepthLimitError):
-            build(ens17, StrategyKind.PREDICATED)
-        with pytest.raises(DepthLimitError):
-            build(ens17, StrategyKind.VPREDICATED, 8)
-        # Linked strategies still work past the complete-table limit.
-        x = np.full(2, 0.9, dtype=np.float32)
-        for kind in (StrategyKind.HEAP_LINKED, StrategyKind.COMPACT_LINKED,
-                     StrategyKind.CONTIGUOUS):
-            assert build(ens17, kind).predict(x) == reference_predict(ens17, x)
+        # One level past the deepest tree expand_to_complete builds: no
+        # strategy, the predicated pair included, limits the depth.
+        assert_layouts_match_reference(*falling_chain(MAX_DEPTH + 1))
 
     def test_build_argument_errors(self):
         ens = Ensemble(4, [Tree(Node.leaf(1.0))])
@@ -204,45 +190,30 @@ class TestPredictBatch:
 
 
 class TestPredicationKernel:
-    def test_depth_one_left_right_and_tie(self):
-        tree = Tree(Node.internal(0, 0.5, Node.leaf(-1.0), Node.leaf(1.0)))
-        ct = expand_to_complete(tree)
-        assert leaf_index_predicated(ct, np.array([0.3], dtype=np.float32)) == 0
-        assert leaf_index_predicated(ct, np.array([0.5], dtype=np.float32)) == 1
-        assert leaf_index_predicated(ct, np.array([0.7], dtype=np.float32)) == 1
-
-    def test_matches_recursive_traversal(self):
-        rng = np.random.default_rng(14)
-        cfg = GenConfig(depth=3, num_features=8, seed=15)
-        tree = gen_tree(cfg)
-        ct = expand_to_complete(tree)
-        for _ in range(512):
-            x = rng.random(8, dtype=np.float32)
-            leaf = ct.leaf_values[leaf_index_predicated(ct, x)]
-            assert float(leaf) == traverse_value(tree, x)
-
     def test_index_range_property(self):
+        # Every index the update visits from a root lies in its tree's
+        # entries, and the leaf it reaches after depth steps loops to
+        # itself: two more steps leave it there.
         rng = np.random.default_rng(15)
-        for depth in (1, 3, 6, 9):
-            tree = gen_tree(GenConfig(depth=depth, num_features=8, seed=depth))
-            ct = expand_to_complete(tree)
-            lo, hi = (1 << depth) - 1, (1 << (depth + 1)) - 1
-            for _ in range(64):
-                x = rng.random(8, dtype=np.float32)
-                path = predicated_index_path(ct, x)
-                assert path[0] == 0 and len(path) == depth + 1
-                assert lo <= path[-1] < hi
-
-    def test_vpred_v1_step_sequence_equals_scalar(self):
-        tree = gen_tree(GenConfig(depth=6, num_features=8, seed=19))
-        ct = expand_to_complete(tree)
-        rng = np.random.default_rng(20)
-        for _ in range(50):
-            x = rng.random(8, dtype=np.float32)
-            scalar_path = predicated_index_path(ct, x)
-            batch_paths = vpredicated_index_paths(ct, x[None, :])
-            assert batch_paths.shape == (7, 1)
-            assert [int(v) for v in batch_paths[:, 0]] == scalar_path
+        trees = [gen_tree(GenConfig(depth=depth, num_features=8, seed=depth))
+                 for depth in (1, 3, 6, 9)]
+        trees += [random_unbalanced_tree(rng, 8, 8) for _ in range(4)]
+        ens = Ensemble(8, trees)
+        nodes, roots = native._predicated_entries(
+            *native._pack_nodes(ens, breadth_first=True))
+        ends = np.append(roots[1:], nodes.shape[0])
+        X = random_matrix(rng, 64, 8)
+        rows = np.arange(X.shape[0])
+        for (tree, _), root, end in zip(ens.trees, roots.tolist(), ends):
+            i = np.full(X.shape[0], root)
+            for step in range(tree.depth + 2):
+                if step == tree.depth:
+                    leaves = i
+                e = nodes[i]
+                i = e["left"] + 1 - (X[rows, e["fid"]] < e["theta"])
+                assert np.all((root <= i) & (i < end))
+            assert np.array_equal(i, leaves)
+            assert np.isnan(nodes["theta"][leaves]).all()
 
 
 @requires_compiler
@@ -472,12 +443,32 @@ def layout_path(request):
 
 
 def assert_layouts_match_reference(ens, X, builds=TABLE_BUILDS):
-    expected = reference_batch(ens, X)
+    """Every build's ``predict_batch`` and ``predict`` scores are the
+    reference's, bit for bit."""
+    expected = reference_batch(ens, X).view(np.uint64)
     for kind, v in builds:
         ev = build(ens, kind, v)
-        assert np.array_equal(ev.predict_batch(X), expected), (kind, v)
-        rows = np.array([ev.predict(X[i]) for i in range(X.shape[0])])
-        assert np.array_equal(rows, expected), (kind, v)
+        assert np.array_equal(ev.predict_batch(X).view(np.uint64),
+                              expected), (kind, v)
+        rows = np.array([ev.predict(X[i]) for i in range(X.shape[0])],
+                        dtype=np.float64)
+        assert np.array_equal(rows.view(np.uint64), expected), (kind, v)
+
+
+def falling_chain(depth: int):
+    """A ``depth``-level chain whose thresholds fall level by level, next to
+    shallow trees, and rows that leave it at every level, between
+    thresholds and exactly on them."""
+    node = Node.leaf(-1.0)
+    for level in range(depth):
+        node = Node.internal(0, (level + 1) / 32, node, Node.leaf(level))
+    rng = np.random.default_rng(35)
+    ens = Ensemble(2, [(Tree(node), 0.5),
+                       (random_unbalanced_tree(rng, 4, 2), 1.5),
+                       (Tree(Node.leaf(3.0)), 1.0)])
+    X = rng.random((2 * depth + 2, 2), dtype=np.float32)
+    X[:, 0] = np.arange(2 * depth + 2) / 64
+    return ens, X
 
 
 @pytest.mark.usefixtures("layout_path")
@@ -534,26 +525,16 @@ class TestLayoutKernels:
         assert_layouts_match_reference(ens, X)
 
     def test_very_deep_chain(self):
-        # Past the interpreter's recursion limit: every linked walk loops.
+        # Past the interpreter's recursion limit: every linked walk loops,
+        # and the predicated lanes step through all the levels.
         X = np.array([[0.0, 0.0], [1e-4, 0.0], [0.9, 0.0]], dtype=np.float32)
         for depth in (1500, 3000):
             ens = Ensemble(2, [(chain_tree(depth), 0.5)])
-            assert_layouts_match_reference(ens, X, LINKED_LAYOUTS)
+            assert_layouts_match_reference(ens, X)
 
     def test_max_depth_tree(self):
-        # A depth-16 chain (131,071 complete-table entries) whose thresholds
-        # fall level by level, so that the rows leave it at every level,
-        # between thresholds and exactly on them, next to shallow trees.
-        node = Node.leaf(-1.0)
-        for level in range(MAX_DEPTH):
-            node = Node.internal(0, (level + 1) / 32, node, Node.leaf(level))
-        rng = np.random.default_rng(35)
-        ens = Ensemble(2, [(Tree(node), 0.5),
-                           (random_unbalanced_tree(rng, 4, 2), 1.5),
-                           (Tree(Node.leaf(3.0)), 1.0)])
-        X = rng.random((2 * MAX_DEPTH + 2, 2), dtype=np.float32)
-        X[:, 0] = np.arange(2 * MAX_DEPTH + 2) / 64
-        assert_layouts_match_reference(ens, X)
+        # A chain as deep as the deepest tree expand_to_complete builds.
+        assert_layouts_match_reference(*falling_chain(MAX_DEPTH))
 
     def test_feature_ids_at_the_table_limit(self):
         # Splits on the two largest ids a uint16 holds and on ids 0 and 1,
@@ -1004,10 +985,3 @@ def _nodes(tree: Tree):
         yield node
         if not node.is_leaf:
             stack += [node.left, node.right]
-
-
-def traverse_value(tree: Tree, x) -> float:
-    node = tree.root
-    while not node.is_leaf:
-        node = node.left if float(x[node.fid]) < node.threshold else node.right
-    return node.value

@@ -15,7 +15,6 @@ from treescore import (
     Node,
     Tree,
     expand_to_complete,
-    leaf_index_predicated,
     parse_model,
     reference_predict,
     serialize_model,
@@ -25,7 +24,8 @@ from treescore import (
 from treescore.model import DUMMY_FID, DUMMY_THETA, _f32
 from treescore.synth import GenConfig, gen_tree
 
-from conftest import random_ensemble, random_unbalanced_tree
+from conftest import (complete_table_leaf, random_ensemble,
+                      random_unbalanced_tree)
 
 
 def chain_tree(depth: int, fid: int = 0) -> Tree:
@@ -247,8 +247,7 @@ class TestExpansion:
             for x1 in (0.1, 0.9):
                 x = np.array([x0, x1], dtype=np.float32)
                 expected = traverse_to_leaf(tree.root, x).value
-                got = float(ct.leaf_values[leaf_index_predicated(ct, x)])
-                assert got == expected
+                assert complete_table_leaf(ct, x) == expected
 
     def test_dummy_nodes_marked_with_sentinel(self):
         tree = Tree(Node.internal(0, 0.5, Node.leaf(1.0),
@@ -265,7 +264,7 @@ class TestExpansion:
             ct = expand_to_complete(tree)
             for _ in range(25):
                 x = rng.random(12, dtype=np.float32)
-                assert float(ct.leaf_values[leaf_index_predicated(ct, x)]) \
+                assert complete_table_leaf(ct, x) \
                     == traverse_to_leaf(tree.root, x).value
 
     def test_matches_the_recursive_expansion(self):

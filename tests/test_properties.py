@@ -1,9 +1,9 @@
 """Property-based agreement of every strategy with the reference.
 
-Hypothesis draws random and degenerate ensembles (single leaves, chains up
-to ``MAX_DEPTH``, thresholds drawn from a small pool that the features
-reuse, so ties are common) and batches with NaN, +inf and -inf features,
-the empty batch included.  Every strategy must reproduce
+Hypothesis draws random and degenerate ensembles (single leaves, chains of
+up to ``CHAIN_LEVELS`` splits, thresholds drawn from a small pool that the
+features reuse, so ties are common) and batches with NaN, +inf and -inf
+features, the empty batch included.  Every strategy must reproduce
 :func:`reference_batch` bit for bit, also over ``TOP_FID + 1`` features
 with splits on the largest id a uint16 holds and the one past it, so no
 narrowing of the ids could pass unseen.  ``generated`` compiles a unit per
@@ -15,7 +15,6 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from treescore import (
-    MAX_DEPTH,
     Ensemble,
     Node,
     StrategyKind,
@@ -28,6 +27,9 @@ from treescore import (
 from conftest import requires_compiler
 
 BATCH_SIZES = (1, 3, 16)
+# Past MAX_DEPTH, the deepest tree expand_to_complete builds: no strategy
+# limits the depth.
+CHAIN_LEVELS = 40
 
 # Float32 values, so that features equal to a threshold compare equal.
 THRESHOLDS = tuple(float(np.float32(t)) for t in
@@ -57,10 +59,11 @@ def random_trees(draw, fids):
 
 @st.composite
 def chains(draw, fids):
-    """A path of up to ``MAX_DEPTH`` splits, a leaf on the other side of each."""
+    """A path of up to ``CHAIN_LEVELS`` splits, a leaf on the other side of
+    each."""
     node = Node.leaf(draw(values))
     # The deepest chain is drawn on purpose: a uniform draw rarely hits it.
-    levels = st.sampled_from((1, MAX_DEPTH)) | st.integers(0, MAX_DEPTH)
+    levels = st.sampled_from((1, CHAIN_LEVELS)) | st.integers(0, CHAIN_LEVELS)
     for _ in range(draw(levels)):
         fid = draw(fids)
         threshold = draw(st.sampled_from(THRESHOLDS))
