@@ -55,7 +55,7 @@ print("leaves:", ct.leaf_values.tolist())
 
 x = np.array([0.2, 0.9], dtype=np.float32)
 reference = ts.traverse_to_leaf(tree.root, x).value
-print(f"\nrecursive traversal for x={x.tolist()}: leaf value {reference}")
+print(f"\nreference traversal for x={x.tolist()}: leaf value {reference}")
 single = ts.Ensemble(2, [tree])
 try:
     predicated = ts.build(single, "predicated")

@@ -14,7 +14,7 @@ heap_linked
     dispatched through the object's own type as a virtual call.  No
     pooling, no packing.
 compact_linked
-    One compact record per node, individually allocated in depth-first
+    One compact record per node, individually allocated in breadth-first
     order and pointer-chased by a tight iterative loop.
 contiguous
     All nodes packed into one array of 16-byte entries in breadth-first

@@ -32,7 +32,7 @@ heap_linked
     The naive object graph: one individually ``malloc``'d object per node,
     of one of two types (an internal object holds its type pointer, feature
     id, threshold and two child pointers, a leaf its type pointer and
-    value), allocated in depth-first post-order, tree after tree.  The walk
+    value), allocated in breadth-first order, tree after tree.  The walk
     calls through every object's type for what it is and where to go next,
     as virtual methods would, and loops, so depth has no limit.
 contiguous
@@ -42,7 +42,7 @@ contiguous
     child in the array.  Walked by offset.
 compact_linked
     One individually ``malloc``'d record per node (feature id, threshold
-    or leaf value, two child pointers), allocated in depth-first post-order,
+    or leaf value, two child pointers), allocated in breadth-first order,
     tree after tree, and chased by pointer.
 predicated and vpredicated
     One array of 16-byte entries in breadth-first order, concatenated
@@ -60,8 +60,9 @@ predicated and vpredicated
     ensemble of fewer than 8 trees gives a short block fewer row lanes.
 
 The objects of both linked layouts come from one C builder,
-``linked_build``: one ``malloc`` per entry of the depth-first node tables,
-in table order, each of the layout's size for it.  It returns their bytes,
+``linked_build``: one ``malloc`` per entry of the breadth-first node
+tables that ``contiguous`` and the predicated pair are packed from, in
+table order, each of the layout's size for it.  It returns their bytes,
 and ``linked_free`` frees them when the kernel object that owns them is
 collected.
 
@@ -864,71 +865,42 @@ def _bind(lib, layout: str, score, num_features: int, tables,
                       num_features, (model, tables, weights))
 
 
-def _pack_nodes(ensemble: Ensemble, breadth_first: bool):
-    """Flatten every tree into shared parallel node tables, tree after tree.
+def _pack_nodes(ensemble: Ensemble):
+    """Flatten every tree into shared parallel node tables, tree after tree,
+    each numbered breadth-first.
 
-    Within a tree, nodes are numbered breadth-first, or depth-first in
-    post-order (left subtree, right subtree, then the node: children
-    before their parent, the order a recursive copy creates them in).
-    Returns the arrays ``(fids, values, left, right, roots)``: int32
-    ``fids[k]``, the feature id or -1 for a leaf; float32 ``values[k]``,
-    the threshold or leaf value; int32 ``left[k]``/``right[k]``, the
-    children's table indices (0 for a leaf); int32 ``roots[t]``, the index
-    of tree ``t``'s root.
+    A node's two children are numbered together, so the right one is the
+    left one + 1 and only the left is stored.  Returns the arrays
+    ``(fids, values, left, roots)``: int32 ``fids[k]``, the feature id or
+    -1 for a leaf; float32 ``values[k]``, the threshold or leaf value;
+    int32 ``left[k]``, the left child's table index (0 for a leaf); int32
+    ``roots[t]``, the index of tree ``t``'s root.
     """
     # ``node.left is None`` below is ``node.is_leaf`` without the property
     # call, which is a fifth of the time spent here.
-    fids, values, left, right, roots = [], [], [], [], []
+    fids, values, left, roots = [], [], [], []
     for tree, _ in ensemble.trees:
-        if breadth_first:
-            roots.append(len(fids))
-            # A node's children are numbered when it enqueues them.
-            following = len(fids) + 1
-            pending = deque([tree.root])
-            while pending:
-                node = pending.popleft()
-                if node.left is None:
-                    fids.append(-1)
-                    values.append(node.value)
-                    left.append(0)
-                    right.append(0)
-                else:
-                    fids.append(node.fid)
-                    values.append(node.threshold)
-                    left.append(following)
-                    right.append(following + 1)
-                    following += 2
-                    pending.extend((node.left, node.right))
-        else:
-            # An internal node goes back on the stack under a None, above
-            # its children; when the None is popped, both subtrees are
-            # numbered and their roots' indices are the top two of ``done``.
-            done = []
-            pending = [tree.root]
-            while pending:
-                node = pending.pop()
-                if node is None:
-                    node = pending.pop()
-                    fids.append(node.fid)
-                    values.append(node.threshold)
-                    right.append(done.pop())
-                    left.append(done.pop())
-                elif node.left is None:
-                    fids.append(-1)
-                    values.append(node.value)
-                    left.append(0)
-                    right.append(0)
-                else:
-                    pending.extend((node, None, node.right, node.left))
-                    continue
-                done.append(len(fids) - 1)
-            roots.append(len(fids) - 1)     # the root comes last
+        roots.append(len(fids))
+        # A node's children are numbered when it enqueues them.
+        following = len(fids) + 1
+        pending = deque([tree.root])
+        while pending:
+            node = pending.popleft()
+            if node.left is None:
+                fids.append(-1)
+                values.append(node.value)
+                left.append(0)
+            else:
+                fids.append(node.fid)
+                values.append(node.threshold)
+                left.append(following)
+                following += 2
+                pending.extend((node.left, node.right))
     return (np.array(fids, dtype=np.int32), np.array(values, dtype=np.float32),
-            np.array(left, dtype=np.int32), np.array(right, dtype=np.int32),
-            np.array(roots, dtype=np.int32))
+            np.array(left, dtype=np.int32), np.array(roots, dtype=np.int32))
 
 
-def _contiguous_entries(fids, values, left, right, roots):
+def _contiguous_entries(fids, values, left, roots):
     """Breadth-first node tables as one array of ``contiguous`` entries,
     and the byte offsets of the roots.
 
@@ -943,7 +915,8 @@ def _contiguous_entries(fids, values, left, right, roots):
     nodes["fid"] = fids
     nodes["value"] = values
     nodes["left"] = left.astype(np.uint32) * np.uint32(size)
-    nodes["right"] = right.astype(np.uint32) * np.uint32(size)
+    # The right child follows the left one; a leaf's offsets stay 0.
+    nodes["right"] = np.where(fids < 0, 0, nodes["left"] + np.uint32(size))
     return nodes, roots.astype(np.uint32) * np.uint32(size)
 
 
@@ -951,17 +924,18 @@ def _free_records(lib, nodes: np.ndarray) -> None:
     lib.linked_free(nodes.ctypes.data, nodes.shape[0])
 
 
-def _linked_roots(lib, layout: str, fids, values, left, right, roots):
+def _linked_roots(lib, layout: str, fids, values, left, roots):
     """The root object of each tree of linked ``layout``, and the bytes of
     all its objects.
 
-    One object is ``malloc``'d per entry of depth-first node tables, in
+    One object is ``malloc``'d per entry of breadth-first node tables, in
     table order: a ``compact_linked`` record of ``sizeof(node)``, or a
     ``heap_linked`` object of its own type's size.  The objects are freed
     when the returned array is collected.
     """
     count = fids.shape[0]
     nodes = np.zeros(count, dtype=np.uintp)
+    right = left + 1    # a leaf's children are not read
     size = lib.linked_build(layout == "heap_linked", fids.ctypes.data,
                             values.ctypes.data, left.ctypes.data,
                             right.ctypes.data, count, nodes.ctypes.data)
@@ -972,10 +946,9 @@ def _linked_roots(lib, layout: str, fids, values, left, right, roots):
     return root_objects, size
 
 
-def _predicated_entries(fids, values, left, right, roots):
+def _predicated_entries(fids, values, left, roots):
     """Breadth-first node tables as one array of predicated entries, in
-    which every leaf loops to itself, and the root indices.  ``right`` is
-    ``left + 1`` in breadth-first tables, so it is not stored.
+    which every leaf loops to itself, and the root indices.
 
     Raises ``ValueError`` for tables of more than
     :data:`PREDICATED_TABLE_LIMIT` entries.
@@ -1010,29 +983,27 @@ def layout_kernel(ensemble: Ensemble, layout: str, v: int = 1):
     so it takes trees of any depth.  Raises what
     :func:`load_layout_kernels` raises.
     """
-    objects = 0
-    if layout in ("predicated", "vpredicated"):
+    if layout not in TABLE_DTYPES:
+        raise ValueError(f"no table layout named {layout!r}")
+    fids, values, left, roots = _pack_nodes(ensemble)
+    entries, objects = fids.shape[0], 0
+    lib = load_layout_kernels()
+    if layout == "contiguous":
+        tables = _contiguous_entries(fids, values, left, roots)
+        score = lib.contiguous_score
+    elif layout in ("heap_linked", "compact_linked"):
+        root_objects, objects = _linked_roots(lib, layout, fids, values, left,
+                                              roots)
+        tables = (root_objects,)
+        score = (lib.compact_score if layout == "compact_linked"
+                 else lib.heap_score)
+    else:
         depths = [tree.depth for tree, _ in ensemble.trees]
-        tables = (*_predicated_entries(*_pack_nodes(ensemble, breadth_first=True)),
+        tables = (*_predicated_entries(fids, values, left, roots),
                   np.array(depths, dtype=np.int32))
         entries = sum((1 << (d + 1)) - 1 for d in depths)
-        lib = load_layout_kernels()
         score = (lib.vpredicated_score if layout == "vpredicated"
                  else lib.predicated_score)
-    elif layout in ("heap_linked", "compact_linked", "contiguous"):
-        tables = _pack_nodes(ensemble, breadth_first=layout == "contiguous")
-        entries = tables[0].shape[0]
-        lib = load_layout_kernels()
-        if layout == "contiguous":
-            tables = _contiguous_entries(*tables)
-            score = lib.contiguous_score
-        else:
-            root_objects, objects = _linked_roots(lib, layout, *tables)
-            tables = (root_objects,)
-            score = (lib.compact_score if layout == "compact_linked"
-                     else lib.heap_score)
-    else:
-        raise ValueError(f"no table layout named {layout!r}")
     weights = np.array([w for _, w in ensemble.trees], dtype=np.float64)
     kernel = _bind(lib, layout, score, ensemble.num_features, tables, weights, v)
     table_bytes = sum(a.nbytes for a in tables) + weights.nbytes + objects

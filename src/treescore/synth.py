@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .model import Ensemble, Node, Tree
+from .model import Ensemble, Node, Tree, _f32
 
 # Features whose feasible interval is narrower than this are not split
 # again on the same path; at float32 granularity this leaves plenty of
@@ -67,10 +67,6 @@ class GenConfig:
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ValueError(f"domain must be a non-empty finite interval, "
                              f"got {self.domain}")
-
-
-def _f32(x) -> float:
-    return float(np.float32(x))
 
 
 def _next_f32_above(x: float) -> float:

@@ -200,7 +200,7 @@ class TestPredicationKernel:
         trees += [random_unbalanced_tree(rng, 8, 8) for _ in range(4)]
         ens = Ensemble(8, trees)
         nodes, roots = native._predicated_entries(
-            *native._pack_nodes(ens, breadth_first=True))
+            *native._pack_nodes(ens))
         ends = np.append(roots[1:], nodes.shape[0])
         X = random_matrix(rng, 64, 8)
         rows = np.arange(X.shape[0])
@@ -272,9 +272,9 @@ class TestStorage:
 
 
 class TestNodeTables:
-    """The node tables of the linked layouts and ``contiguous``: the
-    linked layouts allocate their objects in table order, so the order
-    decides where they are placed."""
+    """The breadth-first node tables every in-process layout is packed
+    from: the linked layouts allocate their objects in table order, so the
+    order decides where they are placed."""
 
     # An unbalanced tree whose left subtree is the deeper one, a single
     # leaf, and a stump, each with its weight.
@@ -288,30 +288,20 @@ class TestNodeTables:
         (Tree(Node.internal(3, 0.75, Node.leaf(6.0), Node.leaf(7.0))), 1.0)])
 
     @staticmethod
-    def assert_tables(tables, fids, values, left, right, roots):
-        for got, want, dtype in zip(tables, (fids, values, left, right, roots),
-                                    (np.int32, np.float32, np.int32, np.int32,
-                                     np.int32)):
+    def assert_tables(tables, fids, values, left, roots):
+        assert len(tables) == 4
+        for got, want, dtype in zip(tables, (fids, values, left, roots),
+                                    (np.int32, np.float32, np.int32, np.int32)):
             assert got.dtype == dtype
             assert got.tolist() == want
 
     def test_breadth_first(self):
         self.assert_tables(
-            native._pack_nodes(self.ENSEMBLE, breadth_first=True),
+            native._pack_nodes(self.ENSEMBLE),
             fids=[0, 1, -1, -1, 2, -1, -1, -1, 3, -1, -1],
             values=[0.5, 0.25, 4.0, 1.0, 0.125, 2.0, 3.0, 5.0, 0.75, 6.0, 7.0],
             left=[1, 3, 0, 0, 5, 0, 0, 0, 9, 0, 0],
-            right=[2, 4, 0, 0, 6, 0, 0, 0, 10, 0, 0],
             roots=[0, 7, 8])
-
-    def test_post_order(self):
-        self.assert_tables(
-            native._pack_nodes(self.ENSEMBLE, breadth_first=False),
-            fids=[-1, -1, -1, 2, 1, -1, 0, -1, -1, -1, 3],
-            values=[1.0, 2.0, 3.0, 0.125, 0.25, 4.0, 0.5, 5.0, 6.0, 7.0, 0.75],
-            left=[0, 0, 0, 1, 0, 0, 4, 0, 0, 0, 8],
-            right=[0, 0, 0, 2, 3, 0, 5, 0, 0, 0, 9],
-            roots=[6, 7, 10])
 
     def test_orders_on_random_ensembles(self):
         rng = np.random.default_rng(40)
@@ -319,29 +309,22 @@ class TestNodeTables:
             ens = random_ensemble(rng, 8, int(rng.integers(1, 12)),
                                   int(rng.integers(0, 8)))
             count = sum(tree.node_count for tree, _ in ens.trees)
-            for breadth_first in (True, False):
-                fids, _, left, right, roots = native._pack_nodes(
-                    ens, breadth_first)
-                assert fids.shape == (count,)
-                internal = np.flatnonzero(fids >= 0)
-                if breadth_first:
-                    # Siblings are adjacent, after their parent.
-                    assert np.array_equal(right[internal], left[internal] + 1)
-                    assert np.all(left[internal] > internal)
-                else:
-                    # The left subtree, then the right one, then the node.
-                    assert np.all(left[internal] < right[internal])
-                    assert np.all(right[internal] == internal - 1)
-                # Every node but the roots is the child of exactly one node.
-                children = np.concatenate([left[internal], right[internal]])
-                assert sorted(children.tolist() + roots.tolist()) == list(
-                    range(count))
+            fids, _, left, roots = native._pack_nodes(ens)
+            assert fids.shape == (count,)
+            internal = np.flatnonzero(fids >= 0)
+            # Children come after their parent.
+            assert np.all(left[internal] > internal)
+            # With the right child at ``left + 1``, every node but the
+            # roots is the child of exactly one node.
+            children = np.concatenate([left[internal], left[internal] + 1])
+            assert sorted(children.tolist() + roots.tolist()) == list(
+                range(count))
 
     def test_contiguous_entries(self):
         # The breadth-first tables as 16-byte entries; children and roots
         # by byte offset.
         nodes, roots = native._contiguous_entries(
-            *native._pack_nodes(self.ENSEMBLE, breadth_first=True))
+            *native._pack_nodes(self.ENSEMBLE))
         assert nodes.dtype == native.CONTIGUOUS_ENTRY
         assert nodes.dtype.itemsize == 16
         assert nodes["fid"].tolist() == [0, 1, -1, -1, 2, -1, -1, -1, 3, -1, -1]
@@ -355,7 +338,7 @@ class TestNodeTables:
 
     def test_contiguous_table_limit(self, monkeypatch):
         # Offsets are uint32, so the table may span at most 4 GiB.
-        tables = native._pack_nodes(self.ENSEMBLE, breadth_first=True)
+        tables = native._pack_nodes(self.ENSEMBLE)
         monkeypatch.setattr(native, "CONTIGUOUS_TABLE_LIMIT", 11 * 16)
         native._contiguous_entries(*tables)
         monkeypatch.setattr(native, "CONTIGUOUS_TABLE_LIMIT", 11 * 16 - 1)
@@ -370,7 +353,7 @@ class TestNodeTables:
         # A split holds its left child's index, and a leaf fid 0, theta
         # NaN and its own index - 1.
         nodes, roots = native._predicated_entries(
-            *native._pack_nodes(self.LEAF_FIRST, breadth_first=True))
+            *native._pack_nodes(self.LEAF_FIRST))
         assert nodes.dtype == native.PREDICATED_ENTRY
         assert nodes.dtype.itemsize == 16
         assert nodes["fid"].tolist() == [0, 3, 0, 0, 0, 1, 0, 0, 2, 0, 0]
@@ -386,7 +369,7 @@ class TestNodeTables:
 
     def test_predicated_table_limit(self, monkeypatch):
         # Indices are int32, so the table may hold at most 2^31 entries.
-        tables = native._pack_nodes(self.LEAF_FIRST, breadth_first=True)
+        tables = native._pack_nodes(self.LEAF_FIRST)
         monkeypatch.setattr(native, "PREDICATED_TABLE_LIMIT", 11)
         native._predicated_entries(*tables)
         monkeypatch.setattr(native, "PREDICATED_TABLE_LIMIT", 10)
@@ -402,7 +385,7 @@ class TestNodeTables:
             ens = random_ensemble(rng, 8, int(rng.integers(1, 12)),
                                   int(rng.integers(0, 8)))
             nodes, roots = native._predicated_entries(
-                *native._pack_nodes(ens, breadth_first=True))
+                *native._pack_nodes(ens))
             pool = [n.threshold for t, _ in ens.trees for n in _nodes(t)
                     if not n.is_leaf] + [np.nan, np.inf, -np.inf]
             X = random_matrix(rng, 64, 8)

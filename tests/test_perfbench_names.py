@@ -1,7 +1,8 @@
 """The names the benchmark in ``perfbench/run.py`` reads from the package.
 
-The suite never runs that script's traced mode, so a name it reads only
-there (``expand_to_complete``, say) could be deleted from the package with
+Only ``test_perfbench_run.py`` runs that script's traced mode, and only
+with a compiler, so without one a name it reads only there
+(``expand_to_complete``, say) could be deleted from the package with
 every other test still passing.  This test reads the script's source and
 checks that every attribute it takes from a module it imports by
 ``importlib.import_module`` exists.
@@ -46,7 +47,7 @@ def names_read(tree):
 
 def test_every_name_perfbench_reads_exists():
     reads = names_read(ast.parse(RUN.read_text(encoding="utf-8")))
-    # The names read only in the traced mode, which no other test runs.
+    # The names read only in the traced mode.
     assert {("treescore", "expand_to_complete"),
             ("treescore.native", "load_layout_kernels"),
             ("treescore.codegen", "GeneratedEvaluator")} <= reads
