@@ -121,7 +121,7 @@ typedef struct node {
 /* What a kernel reads besides the rows, bound once per evaluator.
    ``table`` is per kernel (see each). */
 typedef struct {
-    const void *table[7];
+    const void *table[3];
     const double *weights;
     int64_t num_trees;
     int64_t f;                  /* features per row */
@@ -149,19 +149,19 @@ typedef struct {
 #define READ(var, o, field) \
     memcpy(&(var), nodes + (o) + offsetof(entry, field), sizeof (var))
 
+/* Every exported kernel starts on a 64-byte boundary.  The front end
+   fetches and caches decoded code in 64-byte blocks, and a kernel's
+   offset within them moves its speed by a few percent, so each keeps
+   offset 0 whatever code, exports or imports come before it. */
+#define KERNEL __attribute__((aligned(64)))
+
 /* table: entry nodes, uint32 roots (byte offsets)
 
    The walk keeps the byte offset of its entry, which each read adds to
    the table in its address, and it reads both children in one load
    before the branch, so a mispredicted branch costs no load before the
-   next entry is read.
-
-   The first kernel starts on a 64-byte boundary and the others follow it
-   in source order, so every kernel keeps its offset within the 64-byte
-   blocks the front end fetches and caches decoded code in, whatever the
-   object holds before them (the binding, the PLT).  Those offsets move a
-   kernel's speed by a few percent. */
-__attribute__((aligned(64)))
+   next entry is read. */
+KERNEL
 int contiguous_score(const void *bound, const float *x, int64_t n, double *out)
 {
     const model *m = bound;
@@ -192,11 +192,8 @@ int contiguous_score(const void *bound, const float *x, int64_t n, double *out)
     return 0;
 }
 
-/* table: the root record of each tree
-
-   Also on a 64-byte boundary, so the size of contiguous_score does not
-   move this kernel or those after it. */
-__attribute__((aligned(64)))
+/* table: the root record of each tree */
+KERNEL
 int compact_score(const void *bound, const float *x, int64_t n, double *out)
 {
     const model *m = bound;
@@ -232,6 +229,16 @@ typedef struct {
 /* Lane scratch on the stack up to this many lanes, on the heap above. */
 #define STACK_LANES 256
 
+/* The byte offset a lane steps to from the entry at offset in nodes: its
+   left child's if row[fid] < theta, else its right child's. */
+static inline __attribute__((always_inline))
+int64_t lane_step(const char *nodes, int64_t offset, const float *row)
+{
+    const pentry *e = (const pentry *) (nodes + offset);
+    return ((int64_t) e->left + 1 - (row[e->fid] < e->theta))
+           * (int64_t) sizeof(pentry);
+}
+
 /* One block of b rows of predicated_score, scored into out[0..b).  A
    lane holds its entry's byte offset, the index times 16: holding the
    index instead put two more instructions between each compare and the
@@ -250,12 +257,8 @@ void predicated_block(const model *m, const float *rows, int64_t b,
         for (int64_t k = 0; k < b; k++)
             offset[k] = (int64_t) roots[t] * (int64_t) sizeof(pentry);
         for (int32_t level = 0; level < depth[t]; level++)
-            for (int64_t k = 0; k < b; k++) {
-                const float *row = rows + k * m->f;
-                const pentry *e = (const pentry *) (nodes + offset[k]);
-                offset[k] = ((int64_t) e->left + 1 - (row[e->fid] < e->theta))
-                            * (int64_t) sizeof(pentry);
-            }
+            for (int64_t k = 0; k < b; k++)
+                offset[k] = lane_step(nodes, offset[k], rows + k * m->f);
         for (int64_t k = 0; k < b; k++)
             out[k] += weight
                 * (double) ((const pentry *) (nodes + offset[k]))->value;
@@ -266,6 +269,7 @@ void predicated_block(const model *m, const float *rows, int64_t b,
    the root and takes the tree's depth in steps, a lane on a leaf staying
    there.  table: pentry nodes, then per tree the int32 index of its root
    and its int32 depth. */
+KERNEL
 int predicated_score(const void *bound, const float *x, int64_t n, double *out)
 {
     const model *m = bound;
@@ -319,20 +323,13 @@ typedef struct {
     float value;
 } leaf_object;
 
-/* In .text, gcc would place these functions, like the binding's, ahead
-   of the kernels, and so move every kernel (see the first one).  In a
-   section of their own they are linked after the rest of the code. */
-#define METHOD __attribute__((section(".text.heap_linked")))
-
-static METHOD
-int internal_is_leaf(const object *self)
+static int internal_is_leaf(const object *self)
 {
     (void) self;
     return 0;
 }
 
-static METHOD
-const object *internal_child(const object *self, const float *row)
+static const object *internal_child(const object *self, const float *row)
 {
     const internal_object *o = (const internal_object *) self;
     if (row[o->fid] < o->threshold)
@@ -340,15 +337,13 @@ const object *internal_child(const object *self, const float *row)
     return o->right;
 }
 
-static METHOD
-int leaf_is_leaf(const object *self)
+static int leaf_is_leaf(const object *self)
 {
     (void) self;
     return 1;
 }
 
-static METHOD
-float leaf_value(const object *self)
+static float leaf_value(const object *self)
 {
     return ((const leaf_object *) self)->value;
 }
@@ -364,12 +359,12 @@ void linked_free(void **nodes, int64_t count)
 
 /* The objects of a linked layout: one malloc per table entry, in table
    order, of a compact_linked record (heap 0) or of a heap_linked object
-   of its own type's size; children are linked by table index.  Returns
+   of its own type's size.  A split's children are linked by the table
+   index of the left one, which the right one follows.  Returns
    the bytes of the objects, or -1 (with nothing left allocated) when out
    of memory. */
 int64_t linked_build(int heap, const int32_t *fid, const float *value,
-                     const int32_t *left, const int32_t *right, int64_t count,
-                     void **nodes)
+                     const int32_t *left, int64_t count, void **nodes)
 {
     int64_t bytes = 0;
     for (int64_t k = 0; k < count; k++) {
@@ -389,14 +384,14 @@ int64_t linked_build(int heap, const int32_t *fid, const float *value,
             o->fid = fid[k];
             o->value = value[k];
             o->left = fid[k] >= 0 ? nodes[left[k]] : NULL;
-            o->right = fid[k] >= 0 ? nodes[right[k]] : NULL;
+            o->right = fid[k] >= 0 ? nodes[left[k] + 1] : NULL;
         } else if (fid[k] >= 0) {
             internal_object *o = nodes[k];
             o->base.type = &internal_type;
             o->fid = fid[k];
             o->threshold = value[k];
             o->left = nodes[left[k]];
-            o->right = nodes[right[k]];
+            o->right = nodes[left[k] + 1];
         } else {
             leaf_object *o = nodes[k];
             o->base.type = &leaf_type;
@@ -407,6 +402,7 @@ int64_t linked_build(int heap, const int32_t *fid, const float *value,
 }
 
 /* table: the root object of each tree */
+KERNEL
 int heap_score(const void *bound, const float *x, int64_t n, double *out)
 {
     const model *m = bound;
@@ -661,20 +657,10 @@ PyMODINIT_FUNC PyInit__treescore_kernels(void)
    staying there, and then adds its leaves in tree order, so the score is
    bit-identical.  Eight lanes' offsets fit in x86-64's general registers
    beside the pointers the loop needs.  An ensemble of fewer trees keeps
-   a short block of fewer lanes.  table: that of predicated_score.
-
-   The code sits in a section of its own, linked after the rest (see
-   METHOD), and calls predicated_score through a hidden alias, not through
-   a new PLT entry: either would move every kernel (see contiguous_score).
-   The entry point is exported, so naming it adds no import either. */
+   a short block of fewer lanes.  table: that of predicated_score. */
 #define ROW_LANES 8
-#define ROW_LANES_CODE __attribute__((section(".text.vpredicated")))
 
-extern int predicated_local(const void *, const float *, int64_t, double *)
-    __attribute__((alias("predicated_score"), visibility("hidden")));
-
-static ROW_LANES_CODE
-double row_lanes_score(const model *m, const float *row)
+static double row_lanes_score(const model *m, const float *row)
 {
     const char *nodes = m->table[0];
     const int32_t *roots = m->table[1], *depth = m->table[2];
@@ -693,11 +679,8 @@ double row_lanes_score(const model *m, const float *row)
         }
         for (int32_t level = 0; level < levels; level++)
 #pragma GCC unroll 8
-            for (int k = 0; k < ROW_LANES; k++) {
-                const pentry *e = (const pentry *) (nodes + offset[k]);
-                offset[k] = ((int64_t) e->left + 1 - (row[e->fid] < e->theta))
-                            * (int64_t) sizeof(pentry);
-            }
+            for (int k = 0; k < ROW_LANES; k++)
+                offset[k] = lane_step(nodes, offset[k], row);
 #pragma GCC unroll 8
         for (int k = 0; k < ROW_LANES; k++)
             if (s + k >= t)
@@ -707,14 +690,14 @@ double row_lanes_score(const model *m, const float *row)
     return acc;
 }
 
-ROW_LANES_CODE
+KERNEL
 int vpredicated_score(const void *bound, const float *x, int64_t n, double *out)
 {
     const model *m = bound;
     /* n mod v, without a division when n < v, the common online case */
     const int64_t rest = m->num_trees < ROW_LANES ? 0
                          : n < m->v ? n : n % m->v;
-    if (n > rest && predicated_local(bound, x, n - rest, out))
+    if (n > rest && predicated_score(bound, x, n - rest, out))
         return -1;
     for (int64_t i = n - rest; i < n; i++)
         out[i] = row_lanes_score(m, x + i * m->f);
@@ -752,7 +735,7 @@ def as_rows(data, num_features: int, ndim: int) -> np.ndarray:
 class _Model(ctypes.Structure):
     """The C ``model`` a kernel is bound to."""
 
-    _fields_ = [("table", ctypes.c_void_p * 7), ("weights", ctypes.c_void_p),
+    _fields_ = [("table", ctypes.c_void_p * 3), ("weights", ctypes.c_void_p),
                 ("num_trees", ctypes.c_int64), ("f", ctypes.c_int64),
                 ("v", ctypes.c_int64)]
 
@@ -784,7 +767,7 @@ def _build_library(codegen) -> ctypes.CDLL:
         lib = ctypes.CDLL(str(path))
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     lib.linked_build.restype = i64
-    lib.linked_build.argtypes = [ctypes.c_int] + [ptr] * 4 + [i64, ptr]
+    lib.linked_build.argtypes = [ctypes.c_int] + [ptr] * 3 + [i64, ptr]
     lib.linked_free.restype = None
     lib.linked_free.argtypes = [ptr, i64]
     binding.setup(as_rows, np.empty)
@@ -859,8 +842,8 @@ def _bind(lib, layout: str, score, num_features: int, tables,
         raise TypeError(f"{layout} tables have dtypes {list(map(str, dtypes))}"
                         ", the kernel reads "
                         f"{list(map(str, TABLE_DTYPES[layout]))}")
-    model = _Model((ctypes.c_void_p * 7)(*(a.ctypes.data for a in tables)),
-                   weights.ctypes.data, len(weights), num_features, v)
+    model = _Model(tuple(a.ctypes.data for a in tables), weights.ctypes.data,
+                   len(weights), num_features, v)
     return lib.Kernel(function_address(score), ctypes.addressof(model),
                       num_features, (model, tables, weights))
 
@@ -935,10 +918,9 @@ def _linked_roots(lib, layout: str, fids, values, left, roots):
     """
     count = fids.shape[0]
     nodes = np.zeros(count, dtype=np.uintp)
-    right = left + 1    # a leaf's children are not read
     size = lib.linked_build(layout == "heap_linked", fids.ctypes.data,
-                            values.ctypes.data, left.ctypes.data,
-                            right.ctypes.data, count, nodes.ctypes.data)
+                            values.ctypes.data, left.ctypes.data, count,
+                            nodes.ctypes.data)
     if size < 0:
         raise MemoryError(f"out of memory allocating {layout} node objects")
     root_objects = nodes[roots]

@@ -88,9 +88,9 @@ def test_no_fused_multiply_add_on_fma_targets(tmp_path, unit):
 
 
 
-def library_symbols(tmp_path, name, source):
+def exported_functions(tmp_path, name, source):
     """``source`` linked as the layout-kernel library is, at its shipped
-    flags: ``nm -n``'s address of each function, and ``nm -u``'s imports."""
+    flags: ``nm -n``'s address of each exported function."""
     path = tmp_path / f"{name}.c"
     path.write_text(source, encoding="utf-8")
     lib = tmp_path / f"{name}.so"
@@ -98,40 +98,46 @@ def library_symbols(tmp_path, name, source):
            f"-I{sysconfig.get_paths()['include']}", "-o", str(lib), str(path)]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    nm = subprocess.run(["nm", "-n", str(lib)], capture_output=True,
+                        text=True, check=True).stdout
+    return {symbol: int(address, 16) for address, _, symbol in
+            (line.split() for line in nm.splitlines() if " T " in line)}
 
-    def nm(*flags):
-        return subprocess.run(["nm", *flags, str(lib)], capture_output=True,
-                              text=True, check=True).stdout.splitlines()
 
-    addresses = {}
-    for line in nm("-n"):
-        fields = line.split()
-        if len(fields) == 3 and fields[1] in "tT":
-            addresses[fields[2]] = int(fields[0], 16)
-    return addresses, sorted(line.split()[-1] for line in nm("-u"))
+# An export of more than 64 bytes of code, which calls an import the
+# library does not have: ahead of the kernels it grows both the code and
+# the PLT before them.
+EXTRA_EXPORT = """
+PyObject *extra_export(void *a, void *b, void *c)
+{
+    return Py_BuildValue("(NNN)", PyLong_FromVoidPtr(a),
+                         PyLong_FromVoidPtr(b), PyLong_FromVoidPtr(c));
+}
+"""
 
 
 @requires_compiler
 @pytest.mark.skipif(shutil.which("nm") is None, reason="needs nm")
 def test_kernel_placement(tmp_path):
-    """The kernels sit where their speed was measured.  A kernel's speed
-    moves with its address, so the first two start on 64-byte boundaries,
-    the four come in source order, and the short-block code of
-    ``vpredicated`` comes after the binding, adds no import (which would
-    grow the PLT ahead of every kernel) and moves no other function."""
-    addresses, imports = library_symbols(tmp_path, "full", native._SOURCE)
-    cut = native._SOURCE.index("\n/* vpredicated:")
-    before, imports_before = library_symbols(tmp_path, "before",
-                                             native._SOURCE[:cut])
-    assert addresses["contiguous_score"] % 64 == 0
-    assert addresses["compact_score"] % 64 == 0
-    assert (addresses["contiguous_score"] < addresses["compact_score"]
-            < addresses["predicated_score"] < addresses["heap_score"])
-    assert addresses["vpredicated_score"] > addresses[
-        "PyInit__treescore_kernels"]
-    del before["_fini"]         # the linker puts it after the code
-    assert {name: addresses[name] for name in before} == before
-    assert imports == imports_before
+    """Every kernel starts on a 64-byte boundary, in the shipped library
+    and with one more export and import ahead of the kernels, so no code
+    ahead of a kernel changes its offset within the front end's 64-byte
+    fetch blocks."""
+    first = native._SOURCE.index("\nKERNEL\n")
+    extra = (native._SOURCE[:first] + EXTRA_EXPORT
+             + native._SOURCE[first:])
+    kernels = {"contiguous_score", "compact_score", "predicated_score",
+               "heap_score", "vpredicated_score"}
+    starts = []
+    for name, source in ("shipped", native._SOURCE), ("extra", extra):
+        addresses = exported_functions(tmp_path, name, source)
+        scores = {s: a for s, a in addresses.items() if s.endswith("_score")}
+        assert set(scores) == kernels
+        assert all(address % 64 == 0 for address in scores.values()), scores
+        starts.append(min(scores.values()))
+    # The extra export sits ahead of the kernels and moved them.
+    assert addresses["extra_export"] < starts[1]
+    assert starts[0] < starts[1]
 
 
 class TestEmission:
