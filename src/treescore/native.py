@@ -53,6 +53,12 @@ predicated and vpredicated
     blocks of ``v`` lanes (``v = 1`` for ``predicated``); per tree every
     lane starts at the root and, ``depth`` times, applies
     ``i = left[i] + 1 - (x[fid[i]] < theta[i])``, then adds its leaf.
+    A ``vpredicated`` block of more than one lane first prefetches the
+    entries of the next tree, which follow the tree's own, so a call on
+    tables that other work has evicted does not wait on each tree's
+    refill in turn.  One-lane blocks, and so all of ``predicated``, do
+    not: on tables that stay cached the prefetches are only more work,
+    and they slowed one-row requests.
     ``vpredicated`` scores each row of a short block (all of a call of
     fewer than ``v`` rows, else the last ``n mod v``) on its own, with
     lanes over its trees instead: 8 trees at a time step as deep as the
@@ -239,14 +245,35 @@ int64_t lane_step(const char *nodes, int64_t offset, const float *row)
            * (int64_t) sizeof(pentry);
 }
 
+/* Prefetches every 64-byte line that holds a byte of [first, end). */
+static inline __attribute__((always_inline))
+void prefetch_lines(const char *first, const char *end)
+{
+    for (uintptr_t line = (uintptr_t) first & ~(uintptr_t) 63;
+         line < (uintptr_t) end; line += 64)
+        __builtin_prefetch((const void *) line);
+}
+
 /* One block of b rows of predicated_score, scored into out[0..b).  A
    lane holds its entry's byte offset, the index times 16: holding the
    index instead put two more instructions between each compare and the
    next load, which made one lane about 12% slower on a complete
-   depth-11 tree. */
+   depth-11 tree.
+
+   With prefetch set, a block of more than one lane prefetches every line
+   of tree t + 1's entries, which run from its root to tree t + 2's,
+   before it walks tree t, so that a call on tables that other work has
+   evicted does not wait on each tree's refill in turn.  The last tree,
+   whose end no root marks, is not prefetched.  One tree ahead is enough:
+   b lanes take longer to walk a tree than the next one's entries take to
+   arrive, and two trees ahead scored no faster.  A one-lane block never
+   prefetches (b is the constant 1 there, so the test folds away): on
+   tables that stay cached the prefetches are only more work, and they
+   made the one-row requests of a 48-tree ensemble about a tenth
+   slower. */
 static inline __attribute__((always_inline))
 void predicated_block(const model *m, const float *rows, int64_t b,
-                      int64_t *offset, double *out)
+                      int64_t *offset, double *out, int prefetch)
 {
     const char *nodes = m->table[0];
     const int32_t *roots = m->table[1], *depth = m->table[2];
@@ -254,6 +281,9 @@ void predicated_block(const model *m, const float *rows, int64_t b,
         out[k] = 0.0;
     for (int64_t t = 0; t < m->num_trees; t++) {
         const double weight = m->weights[t];
+        if (prefetch && b > 1 && t + 2 < m->num_trees)
+            prefetch_lines(nodes + (int64_t) roots[t + 1] * sizeof(pentry),
+                           nodes + (int64_t) roots[t + 2] * sizeof(pentry));
         for (int64_t k = 0; k < b; k++)
             offset[k] = (int64_t) roots[t] * (int64_t) sizeof(pentry);
         for (int32_t level = 0; level < depth[t]; level++)
@@ -267,10 +297,14 @@ void predicated_block(const model *m, const float *rows, int64_t b,
 
 /* Lockstep predication, v rows per block: per tree every lane starts at
    the root and takes the tree's depth in steps, a lane on a leaf staying
-   there.  table: pentry nodes, then per tree the int32 index of its root
-   and its int32 depth. */
-KERNEL
-int predicated_score(const void *bound, const float *x, int64_t n, double *out)
+   there.  prefetch is a constant: 1 in vpredicated_score, 0 in
+   predicated_score, which keeps the instructions it had before the
+   prefetch (with one body for both, its registers moved and it read 4%
+   slower on one deep tree).  table: pentry nodes, then per tree the
+   int32 index of its root and its int32 depth. */
+static inline __attribute__((always_inline))
+int predicated_blocks(const void *bound, const float *x, int64_t n,
+                      double *out, int prefetch)
 {
     const model *m = bound;
     const int64_t lanes = m->v < n ? m->v : n;
@@ -283,13 +317,21 @@ int predicated_score(const void *bound, const float *x, int64_t n, double *out)
         /* With a constant single lane its offset stays in a register
            instead of making a store and a load on every level. */
         if (b == 1)
-            predicated_block(m, x + start * m->f, 1, offset, out + start);
+            predicated_block(m, x + start * m->f, 1, offset, out + start,
+                             prefetch);
         else
-            predicated_block(m, x + start * m->f, b, offset, out + start);
+            predicated_block(m, x + start * m->f, b, offset, out + start,
+                             prefetch);
     }
     if (offset != stack_offset)
         free(offset);
     return 0;
+}
+
+KERNEL
+int predicated_score(const void *bound, const float *x, int64_t n, double *out)
+{
+    return predicated_blocks(bound, x, n, out, 0);
 }
 
 /* heap_linked, the naive object graph.  Each node is an object of one of
@@ -650,9 +692,10 @@ PyMODINIT_FUNC PyInit__treescore_kernels(void)
     return module;
 }
 
-/* vpredicated: every full block of v rows goes to predicated_score, and
-   each row of a short block (the whole call when n < v, else the last
-   n mod v rows) is scored on its own, ROW_LANES of its trees at a time.
+/* vpredicated: every full block of v rows goes to the lockstep blocks of
+   predicated_score, with the next-tree prefetch, and each row of a short
+   block (the whole call when n < v, else the last n mod v rows) is
+   scored on its own, ROW_LANES of its trees at a time.
    A group steps as many levels as its deepest tree, a lane on a leaf
    staying there, and then adds its leaves in tree order, so the score is
    bit-identical.  Eight lanes' offsets fit in x86-64's general registers
@@ -697,7 +740,7 @@ int vpredicated_score(const void *bound, const float *x, int64_t n, double *out)
     /* n mod v, without a division when n < v, the common online case */
     const int64_t rest = m->num_trees < ROW_LANES ? 0
                          : n < m->v ? n : n % m->v;
-    if (n > rest && predicated_score(bound, x, n - rest, out))
+    if (n > rest && predicated_blocks(bound, x, n - rest, out, 1))
         return -1;
     for (int64_t i = n - rest; i < n; i++)
         out[i] = row_lanes_score(m, x + i * m->f);

@@ -1,5 +1,6 @@
 """Harness protocol, CSV round trips, coverage, and tuning."""
 
+import math
 import os
 import subprocess
 import sys
@@ -31,7 +32,8 @@ from treescore import (
     run_sweep,
 )
 from treescore import bench as bench_mod, native
-from treescore.bench import CSV_HEADER, _correctness_gate, _timed_pass
+from treescore.bench import (CSV_HEADER, _correctness_gate, _timed_pass,
+                             t_quantile_975)
 from treescore.codegen import GENERATED_FLAGS, OPT_FLAGS
 from treescore.synth import GenConfig, gen_leaf_uniform_vectors, gen_tree
 
@@ -291,8 +293,31 @@ class TestTune:
         assert len(report.rows) == 2
 
 
+# scipy.stats.t.ppf(0.975, dof), computed once with scipy 1.17.1.
+T_975_SCIPY = {
+    1: 12.706204736174694, 2: 4.302652729749462, 3: 3.1824463052837078,
+    5: 2.5705818356363146, 10: 2.228138851986274, 20: 2.085963447265864,
+    21: 2.0796138447276795, 25: 2.0595385527532972, 30: 2.0422724563012378,
+    31: 2.039513446396408, 50: 2.008559112100761, 100: 1.9839715185235518,
+    120: 1.9799304050824402, 500: 1.9647198374673676,
+    1000: 1.9623390808264083,
+}
+
+
+@pytest.mark.parametrize("dof", sorted(T_975_SCIPY))
+def test_t_quantile_matches_scipy(dof):
+    assert abs(t_quantile_975(dof) - T_975_SCIPY[dof]) < 1e-6
+
+
+def test_ci95_uses_the_t_quantile():
+    row = BenchRow("contiguous", 3, 32, None, 10, [100, 130, 110])
+    sd = float(np.std([10.0, 13.0, 11.0], ddof=1))
+    assert row.ci95_ns == t_quantile_975(2) * sd / math.sqrt(3)
+
+
 def test_import_leaves_scipy_unloaded():
-    # scipy serves only BenchRow.ci95_ns and dominates the import time.
+    # numpy is the package's only dependency: scipy, which once gave
+    # BenchRow.ci95_ns its t quantile, would dominate the import time.
     code = "import sys, treescore; print('scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(treescore.__file__).parents[1]))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,

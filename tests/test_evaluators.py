@@ -673,6 +673,37 @@ class TestTreeLanes:
             assert np.array_equal(rows, expected), (num_trees, v)
 
 
+@pytest.mark.usefixtures("layout_path")
+class TestNextTreePrefetch:
+    """A vpredicated block of more than one lane prefetches the entries of
+    tree t + 1, up to tree t + 2's root, before it walks tree t; the last
+    tree is not prefetched.  Full blocks score bit-exactly at every edge
+    of that range: the first, middle and last tree a single leaf (one
+    entry, or the table's first), ensembles too small to prefetch
+    anything, and calls that end in a one-lane block or a short block of
+    row lanes."""
+
+    @pytest.mark.parametrize("num_trees,leaf_at", [
+        (1, None), (1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2),
+        (9, None), (9, 0), (9, 4), (9, 8)])
+    def test_full_blocks_bit_exact(self, num_trees, leaf_at):
+        rng = np.random.default_rng(60 + 10 * num_trees + (leaf_at or 0))
+        trees = [(Tree(Node.leaf(float(rng.normal()))) if t == leaf_at
+                  else random_unbalanced_tree(rng, int(rng.integers(1, 8)), 6),
+                  float(rng.uniform(-1.5, 1.5))) for t in range(num_trees)]
+        ens = Ensemble(6, trees)
+        # Ties and random values, with NaN, +inf and -inf 12 times each.
+        X = TestTreeLanes.rows(rng, ens, 3 * 16)
+        spots = rng.choice(X.size, 36, replace=False)
+        X.reshape(-1)[spots] = np.resize([np.nan, np.inf, -np.inf], 36)
+        expected = reference_batch(ens, X).view(np.uint64)
+        for v in (2, 16):
+            ev = build(ens, StrategyKind.VPREDICATED, v)
+            for n in (v, v + 1, 3 * v):
+                got = ev.predict_batch(X[:n]).view(np.uint64)
+                assert np.array_equal(got, expected[:n]), (v, n)
+
+
 def native_evaluators(ens):
     """One evaluator of each of the six strategies, by name."""
     evaluators = {str(kind): build(ens, kind, v) for kind, v in (
