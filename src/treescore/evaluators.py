@@ -30,7 +30,9 @@ predicated
     it.  It takes trees of any depth.
 vpredicated
     The same index update applied to ``v`` instances in lockstep, one tree
-    level per step.  ``v=1`` reduces to the predicated path.  The rows of
+    level per step.  ``v=1`` reduces to the predicated path.  A block
+    steps at most 256 lanes at once: with a larger ``v`` it goes 256 rows
+    at a time, which gives the same scores.  The rows of
     a short block (all of a call of fewer than ``v`` rows, else the last
     ``n mod v``) are never padded with fabricated instances: each is
     scored on its own, 8 of its trees in lockstep at a time, with the
@@ -133,6 +135,8 @@ def build(ensemble: Ensemble, kind, batch_size: int | None = None) -> Evaluator:
     """Build an evaluator of the given kind from an ensemble.
 
     ``batch_size`` applies to (and is required by) ``vpredicated`` only.
+    Any ``batch_size`` >= 1 is accepted; above 256, each block of
+    ``batch_size`` rows is stepped 256 lanes at a time.
     Every kind runs native code and raises
     :class:`~treescore.codegen.CompilerNotFoundError` without a host
     compiler or the Python headers.  ``generated`` evaluators are built by

@@ -53,6 +53,9 @@ predicated and vpredicated
     blocks of ``v`` lanes (``v = 1`` for ``predicated``); per tree every
     lane starts at the root and, ``depth`` times, applies
     ``i = left[i] + 1 - (x[fid[i]] < theta[i])``, then adds its leaf.
+    A block steps at most 256 lanes at once, whose offsets live on the
+    stack: a larger ``v`` steps each block 256 rows at a time, and as each
+    row still adds its trees in order, its score is the same.
     A ``vpredicated`` block of more than one lane first prefetches the
     entries of the next tree, which follow the tree's own, so a call on
     tables that other work has evicted does not wait on each tree's
@@ -78,8 +81,13 @@ binding a kernel to an array of any other dtype raises ``TypeError``.
 
 Every kernel, the entry point of a ``generated`` unit included, has the
 signature ``int score(const void *model, const float *x, int64_t n,
-double *out)`` and returns nonzero when it ran out of memory, having
-written nothing.  ``Kernel(score, model, num_features, owner)`` binds one
+double *out)``.  No kernel allocates or can fail: each returns 0, and the
+binding does not read it.  The ``int`` stays because the entry point of
+a ``generated`` unit is emitted with it, and a unit whose text changed
+would miss the compile cache: the 300-tree unit of the ``ensemble_f136``
+benchmark took 4.4 to 5.5 s to compile cold against 3 ms to copy from the
+cache (2-vCPU Xeon, gcc 12.2), a cost every first set-up would pay.
+``Kernel(score, model, num_features, owner)`` binds one
 to its model (both given as addresses) once per evaluator.  ``owner`` is
 kept alive with the binding and must hold everything the model points to.
 The binding has two methods, ``predict(x)`` and ``predict_batch(data)``,
@@ -131,7 +139,7 @@ typedef struct {
     const double *weights;
     int64_t num_trees;
     int64_t f;                  /* features per row */
-    int64_t v;                  /* rows per block, predicated kernels only */
+    int64_t v;                  /* rows per block, vpredicated only */
 } model;
 
 /* A contiguous entry: a node and its children's byte offsets in the
@@ -232,8 +240,11 @@ typedef struct {
     float value;                /* the leaf value, 0 in a split */
 } pentry;
 
-/* Lane scratch on the stack up to this many lanes, on the heap above. */
-#define STACK_LANES 256
+/* The most lanes a lockstep block steps at once, whose offsets are kept
+   on the stack.  A larger v scores each of its blocks MAX_LANES rows at a
+   time: every row still adds its trees in order, so its score does not
+   change. */
+#define MAX_LANES 256
 
 /* The byte offset a lane steps to from the entry at offset in nodes: its
    left child's if row[fid] < theta, else its right child's. */
@@ -295,23 +306,22 @@ void predicated_block(const model *m, const float *rows, int64_t b,
     }
 }
 
-/* Lockstep predication, v rows per block: per tree every lane starts at
-   the root and takes the tree's depth in steps, a lane on a leaf staying
-   there.  prefetch is a constant: 1 in vpredicated_score, 0 in
-   predicated_score, which keeps the instructions it had before the
-   prefetch (with one body for both, its registers moved and it read 4%
-   slower on one deep tree).  table: pentry nodes, then per tree the
-   int32 index of its root and its int32 depth. */
+/* Lockstep predication, v rows per block, or MAX_LANES when v is larger:
+   per tree every lane starts at the root and takes the tree's depth in
+   steps, a lane on a leaf staying there.  v and prefetch are constants in
+   predicated_score, 1 and 0, so its only instance is the one-lane block
+   without prefetches (with one body for both kernels, its registers moved
+   and it read 4% slower on one deep tree); vpredicated_score passes the
+   model's v and 1.  table: pentry nodes, then per tree the int32 index of
+   its root and its int32 depth. */
 static inline __attribute__((always_inline))
-int predicated_blocks(const void *bound, const float *x, int64_t n,
-                      double *out, int prefetch)
+void predicated_blocks(const model *m, const float *x, int64_t n,
+                       double *out, int64_t v, int prefetch)
 {
-    const model *m = bound;
-    const int64_t lanes = m->v < n ? m->v : n;
-    int64_t stack_offset[STACK_LANES];
-    int64_t *offset = stack_offset;
-    if (lanes > STACK_LANES && !(offset = malloc(lanes * sizeof *offset)))
-        return -1;
+    if (v > MAX_LANES)
+        v = MAX_LANES;
+    const int64_t lanes = v < n ? v : n;
+    int64_t offset[MAX_LANES];
     for (int64_t start = 0; start < n; start += lanes) {
         const int64_t b = n - start < lanes ? n - start : lanes;
         /* With a constant single lane its offset stays in a register
@@ -323,15 +333,13 @@ int predicated_blocks(const void *bound, const float *x, int64_t n,
             predicated_block(m, x + start * m->f, b, offset, out + start,
                              prefetch);
     }
-    if (offset != stack_offset)
-        free(offset);
-    return 0;
 }
 
 KERNEL
 int predicated_score(const void *bound, const float *x, int64_t n, double *out)
 {
-    return predicated_blocks(bound, x, n, out, 0);
+    predicated_blocks(bound, x, n, out, 1, 0);
+    return 0;
 }
 
 /* heap_linked, the naive object graph.  Each node is an object of one of
@@ -500,22 +508,15 @@ static int get_view(PyObject *obj, Py_buffer *view, int ndim,
 }
 
 /* Scores the n rows of view x into out with the GIL released, then
-   releases x.  Returns -1 (MemoryError set) if the kernel ran out of
-   memory. */
-static int score_view(Kernel *self, Py_buffer *x, Py_ssize_t n, double *out)
+   releases x.  A kernel cannot fail, so its return value is not read. */
+static void score_view(Kernel *self, Py_buffer *x, Py_ssize_t n, double *out)
 {
-    int status = 0;
     if (n > 0) {
         Py_BEGIN_ALLOW_THREADS
-        status = self->score(self->model, x->buf, n, out);
+        self->score(self->model, x->buf, n, out);
         Py_END_ALLOW_THREADS
     }
     PyBuffer_Release(x);
-    if (status) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    return 0;
 }
 
 /* The Python helper that coerces and checks any input the fast path of
@@ -554,9 +555,9 @@ static PyObject *kernel_predict(Kernel *self, PyObject *const *args,
     if (nargs != 1)
         return PyErr_Format(PyExc_TypeError,
                             "predict() takes 1 argument (%zd given)", nargs);
-    if (rows_view(self, args[0], 1, &x) < 0
-            || score_view(self, &x, 1, &score) < 0)
+    if (rows_view(self, args[0], 1, &x) < 0)
         return NULL;
+    score_view(self, &x, 1, &score);
     return PyFloat_FromDouble(score);
 }
 
@@ -578,12 +579,8 @@ static PyObject *kernel_predict_batch(Kernel *self, PyObject *const *args,
         PyBuffer_Release(&x);
         return NULL;
     }
-    const int failed = score_view(self, &x, n, out.buf);
+    score_view(self, &x, n, out.buf);
     PyBuffer_Release(&out);
-    if (failed) {
-        Py_DECREF(scores);
-        return NULL;
-    }
     return scores;
 }
 
@@ -740,8 +737,8 @@ int vpredicated_score(const void *bound, const float *x, int64_t n, double *out)
     /* n mod v, without a division when n < v, the common online case */
     const int64_t rest = m->num_trees < ROW_LANES ? 0
                          : n < m->v ? n : n % m->v;
-    if (n > rest && predicated_blocks(bound, x, n - rest, out, 1))
-        return -1;
+    if (n > rest)
+        predicated_blocks(m, x, n - rest, out, m->v, 1);
     for (int64_t i = n - rest; i < n; i++)
         out[i] = row_lanes_score(m, x + i * m->f);
     return 0;
@@ -996,8 +993,8 @@ def layout_kernel(ensemble: Ensemble, layout: str, v: int = 1):
     """The kernel of in-process strategy ``layout`` bound to ``ensemble``.
 
     ``layout`` is ``heap_linked``, ``compact_linked``, ``contiguous``,
-    ``predicated`` or ``vpredicated``; ``v`` is the lanes per block of the
-    predicated kernel.  Returns ``(kernel, entries, table_bytes)``: the
+    ``predicated`` or ``vpredicated``; ``v`` is the lanes per block of
+    ``vpredicated``.  Returns ``(kernel, entries, table_bytes)``: the
     number of table entries or node objects the kernel's model stores, and
     the bytes of every array and object it points to, the weights included,
     each ``compact_linked`` record counted at ``sizeof(node)`` and each

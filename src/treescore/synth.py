@@ -12,8 +12,10 @@ one path, and no rejection sampling is needed downstream.
 tree equally often: vector ``j`` is assigned leaf ``j mod leaf_count``
 (balance is deterministic to within one vector), its constrained features
 are sampled uniformly inside the leaf's feasible intervals by following
-the leaf's path back to the root, the remaining features are uniform over
-the domain, and finally the rows are shuffled with the seeded generator.
+the leaf's path back to the root, the remaining features are uniform in
+[0, 1), and finally the rows are shuffled with the seeded generator.
+
+Every feature value, threshold and leaf value lies in [0, 1).
 
 Everything is a pure function of the config (seed included); the tree and
 vector streams are decoupled so the same seed never aliases draws.
@@ -36,9 +38,6 @@ MIN_SPLIT_WIDTH = 2.0 ** -20
 _TREE_STREAM = 0
 _DATA_STREAM = 1
 
-# Values per block of float64 draws for a domain other than [0, 1).
-_DRAW_BLOCK = 1 << 14
-
 
 class GenerationError(Exception):
     """Generator invariant violated (e.g. a leaf with contradictory bounds)."""
@@ -46,13 +45,12 @@ class GenerationError(Exception):
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Workload shape: tree depth, feature count, vector count, seed, domain."""
+    """Workload shape: tree depth, feature count, vector count, seed."""
 
     depth: int
     num_features: int
     num_vectors: int = 0
     seed: int = 0
-    domain: tuple = (0.0, 1.0)
 
     def __post_init__(self):
         if self.depth < 0:
@@ -63,10 +61,6 @@ class GenConfig:
             raise ValueError(f"num_vectors must be >= 0, got {self.num_vectors}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        lo, hi = self.domain
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ValueError(f"domain must be a non-empty finite interval, "
-                             f"got {self.domain}")
 
 
 def _next_f32_above(x: float) -> float:
@@ -77,14 +71,10 @@ def _next_f32_below(x: float) -> float:
     return float(np.nextafter(np.float32(x), np.float32(-np.inf)))
 
 
-def _draw_domain_value(rng, lo: float, hi: float) -> float:
-    """Uniform float32 draw in [lo, hi)."""
-    v = _f32(lo + (hi - lo) * rng.random())
-    if v < lo:
-        v = _f32(lo)
-    elif v >= hi:
-        v = _next_f32_below(hi)
-    return v
+def _draw_unit_value(rng) -> float:
+    """Uniform float32 draw in [0, 1)."""
+    v = _f32(rng.random())
+    return _next_f32_below(1.0) if v >= 1.0 else v
 
 
 def gen_tree(cfg: GenConfig) -> Tree:
@@ -93,14 +83,11 @@ def gen_tree(cfg: GenConfig) -> Tree:
     Deterministic for a given seed.  A tree of depth d has 2^d leaves.
     """
     rng = np.random.default_rng([cfg.seed, _TREE_STREAM])
-    lo0, hi0 = _f32(cfg.domain[0]), _f32(cfg.domain[1])
-    if not lo0 < hi0:
-        raise GenerationError("domain collapses at float32 precision")
     f = cfg.num_features
     intervals: dict = {}
 
     def interval(fid: int):
-        return intervals.get(fid, (lo0, hi0))
+        return intervals.get(fid, (0.0, 1.0))
 
     def pick_fid() -> int:
         fid = int(rng.integers(f))
@@ -127,7 +114,7 @@ def gen_tree(cfg: GenConfig) -> Tree:
 
     def build(levels_left: int) -> Node:
         if levels_left == 0:
-            return Node.leaf(_draw_domain_value(rng, lo0, hi0))
+            return Node.leaf(_draw_unit_value(rng))
         fid = pick_fid()
         lo, hi = interval(fid)
         theta = draw_threshold(lo, hi)
@@ -153,8 +140,7 @@ def gen_ensemble(cfg: GenConfig, num_trees: int = 1) -> Ensemble:
     for t in range(num_trees):
         tree_cfg = GenConfig(depth=cfg.depth, num_features=cfg.num_features,
                              num_vectors=0,
-                             seed=_child_seed(cfg.seed, t),
-                             domain=cfg.domain)
+                             seed=_child_seed(cfg.seed, t))
         trees.append((gen_tree(tree_cfg), 1.0))
     return Ensemble(cfg.num_features, trees)
 
@@ -163,14 +149,14 @@ def _child_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, 2, index]).generate_state(1)[0])
 
 
-def _leaf_constraints(tree: Tree, domain) -> list:
-    """Per-leaf feasible intervals, leaves in left-to-right order.
+def _leaf_constraints(tree: Tree) -> list:
+    """Per-leaf feasible intervals within [0, 1), leaves in left-to-right
+    order.
 
     Raises :class:`GenerationError` if any leaf's constraints are
     contradictory (cannot happen for trees from :func:`gen_tree`; possible
     for foreign trees that repeat a feature with conflicting predicates).
     """
-    lo0, hi0 = _f32(domain[0]), _f32(domain[1])
     out = []
     bounds: dict = {}
     # Iterative, so trees deeper than the recursion limit work too.  An
@@ -194,7 +180,7 @@ def _leaf_constraints(tree: Tree, domain) -> list:
         else:
             fid, theta = item.fid, item.threshold
             saved = bounds.get(fid)
-            lo, hi = saved if saved is not None else (lo0, hi0)
+            lo, hi = saved if saved is not None else (0.0, 1.0)
             pending += [(fid, saved), item.right, (fid, (max(lo, theta), hi)),
                         item.left, (fid, (lo, min(hi, theta)))]
     return out
@@ -208,7 +194,7 @@ def gen_leaf_uniform_vectors(tree: Tree, cfg: GenConfig,
     the per-row target leaf ordinals (aligned with the shuffled rows).
     Per-leaf counts differ by at most one, every vector reaches its
     assigned leaf under traversal, and unconstrained features are uniform
-    over the domain.
+    in [0, 1).
     """
     rng = np.random.default_rng([cfg.seed, _DATA_STREAM])
     n = cfg.num_vectors
@@ -217,24 +203,9 @@ def gen_leaf_uniform_vectors(tree: Tree, cfg: GenConfig,
         raise GenerationError(
             f"tree uses feature {tree.max_fid}, beyond num_features={f}"
         )
-    constraints = _leaf_constraints(tree, cfg.domain)
+    constraints = _leaf_constraints(tree)
     num_leaves = len(constraints)
-
-    lo0, hi0 = _f32(cfg.domain[0]), _f32(cfg.domain[1])
-    if cfg.domain == (0.0, 1.0):
-        matrix = rng.random((n, f), dtype=np.float32)
-    else:
-        matrix = np.empty((n, f), dtype=np.float32)
-        top = np.nextafter(np.float32(hi0), np.float32(lo0))
-        # Drawn a block of rows at a time, so the float64 draws never take
-        # more memory than one block; the stream is the same.
-        step = max(1, _DRAW_BLOCK // f)
-        for start in range(0, n, step):
-            block = matrix[start:start + step]
-            block[...] = lo0 + (hi0 - lo0) * rng.random(block.shape)
-            np.maximum(block, np.float32(lo0), out=block)
-            block[block >= hi0] = top
-
+    matrix = rng.random((n, f), dtype=np.float32)
     assigned = np.arange(n, dtype=np.int64) % num_leaves
     for ordinal, bounds in enumerate(constraints):
         rows = np.arange(ordinal, n, num_leaves)

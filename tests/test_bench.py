@@ -309,6 +309,12 @@ def test_t_quantile_matches_scipy(dof):
     assert abs(t_quantile_975(dof) - T_975_SCIPY[dof]) < 1e-6
 
 
+@pytest.mark.parametrize("dof", [0, -1, -20])
+def test_t_quantile_refuses_dof_below_one(dof):
+    with pytest.raises(ValueError, match="dof >= 1"):
+        t_quantile_975(dof)
+
+
 def test_ci95_uses_the_t_quantile():
     row = BenchRow("contiguous", 3, 32, None, 10, [100, 130, 110])
     sd = float(np.std([10.0, 13.0, 11.0], ddof=1))

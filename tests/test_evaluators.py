@@ -412,8 +412,8 @@ class TestNodeTables:
 LINKED_LAYOUTS = ((StrategyKind.HEAP_LINKED, None),
                   (StrategyKind.COMPACT_LINKED, None),
                   (StrategyKind.CONTIGUOUS, None))
-# The five in-process strategies; v = 300 is above the 256 lanes the
-# lockstep kernel keeps on the stack.
+# The five in-process strategies; v = 300 is above the 256 lanes a
+# lockstep block steps at once, so its blocks go 256 rows at a time.
 TABLE_BUILDS = LINKED_LAYOUTS + ((StrategyKind.PREDICATED, None),) + tuple(
     (StrategyKind.VPREDICATED, v) for v in (1, 3, 16, 300))
 
@@ -585,7 +585,8 @@ class TestLayoutKernels:
 
     def test_lane_counts_and_remainders(self):
         # The empty batch, and row counts below and above each v (and the
-        # stack cap) that leave a short last block for v = 3, 16 and 300.
+        # 256-lane bound) that leave a short last block for v = 3, 16 and
+        # 300.
         rng = np.random.default_rng(36)
         ens = random_ensemble(rng, 16, 6, 7)
         for n in (0, 1, 2, 17, 299, 701):
@@ -702,6 +703,30 @@ class TestNextTreePrefetch:
             for n in (v, v + 1, 3 * v):
                 got = ev.predict_batch(X[:n]).view(np.uint64)
                 assert np.array_equal(got, expected[:n]), (v, n)
+
+
+class TestLaneBound:
+    """A lockstep block steps at most 256 lanes at once; a larger v scores
+    each of its blocks 256 rows at a time.  Scores stay bit-exact on both
+    sides of the bound, for ensembles of fewer trees than a short block's
+    row lanes (every row goes through the lockstep blocks) and of more."""
+
+    @pytest.mark.parametrize("num_trees", [3, 12])
+    def test_bit_exact_across_the_bound(self, num_trees):
+        rng = np.random.default_rng(70 + num_trees)
+        ens = TestTreeLanes.ensemble(rng, num_trees)
+        X = TestTreeLanes.rows(rng, ens, 1001)
+        # Whole rows of NaN, +inf and -inf, at the edges of 256-lane blocks.
+        X[[0, 255, 256, 600]] = np.array(
+            [np.nan, np.inf, -np.inf, np.nan], dtype=np.float32)[:, None]
+        expected = reference_batch(ens, X).view(np.uint64)
+        for v in (255, 256, 257, 1000):
+            ev = build(ens, StrategyKind.VPREDICATED, v)
+            for n in (256, 257, 515, 1001):
+                got = ev.predict_batch(X[:n]).view(np.uint64)
+                assert np.array_equal(got, expected[:n]), (v, n)
+            rows = np.array([ev.predict(x) for x in X], dtype=np.float64)
+            assert np.array_equal(rows.view(np.uint64), expected), v
 
 
 def native_evaluators(ens):
