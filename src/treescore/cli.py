@@ -71,6 +71,14 @@ def _parse_int_list(text: str, what: str):
     return values
 
 
+def _check_at_least(*checks):
+    """Raise :class:`UsageError` unless each ``(flag, value, least)`` has
+    ``value >= least``."""
+    for flag, value, least in checks:
+        if value < least:
+            raise UsageError(f"{flag} must be >= {least}, got {value}")
+
+
 def _load_dataset(path, num_features=None) -> Dataset:
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -102,6 +110,8 @@ def _emit(text: str, out_path):
 # ---------------------------------------------------------------------------
 
 def _cmd_gen_model(args) -> int:
+    _check_at_least(("--depth", args.depth, 0), ("--features", args.features, 1),
+                    ("--trees", args.trees, 1), ("--seed", args.seed, 0))
     cfg = GenConfig(depth=args.depth, num_features=args.features, seed=args.seed)
     ensemble = gen_ensemble(cfg, args.trees)
     save_model(ensemble, args.out)
@@ -111,6 +121,7 @@ def _cmd_gen_model(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
+    _check_at_least(("--count", args.count, 0), ("--seed", args.seed, 0))
     ensemble = load_model(args.model)
     dataset = _synthesize_data(ensemble, args.count, args.seed)
     mode = "leaf-uniform" if len(ensemble.trees) == 1 else "uniform"

@@ -18,9 +18,10 @@ headers: without either, :func:`load_layout_kernels` raises
 any of them.  No strategy scores without them; only
 :func:`~treescore.model.reference_predict` does.
 
-This module owns every table format.  :func:`layout_kernel` packs an
-ensemble into the tables of one strategy and binds its kernel to them;
-:mod:`treescore.evaluators` wraps the result and knows no format.
+The model numbers the nodes, in :attr:`~treescore.model.Ensemble.node_table`,
+and this module owns only the layouts' formats: :func:`layout_kernel`
+packs that table into the tables of one strategy and binds its kernel to
+them; :mod:`treescore.evaluators` wraps the result and knows no format.
 
 Each kernel scores a whole ensemble in one call.  Per row it walks every
 tree in order, goes left iff ``x[fid] < threshold`` (ties, NaN and +inf
@@ -69,9 +70,8 @@ predicated and vpredicated
     ensemble of fewer than 8 trees gives a short block fewer row lanes.
 
 The objects of both linked layouts come from one C builder,
-``linked_build``: one ``malloc`` per entry of the breadth-first node
-tables that ``contiguous`` and the predicated pair are packed from, in
-table order, each of the layout's size for it.  It returns their bytes,
+``linked_build``: one ``malloc`` per entry of the ensemble's node table,
+in table order, each of the layout's size for it.  It returns their bytes,
 and ``linked_free`` frees them when the kernel object that owns them is
 collected.
 
@@ -109,7 +109,6 @@ import sysconfig
 import tempfile
 import threading
 import weakref
-from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -888,41 +887,6 @@ def _bind(lib, layout: str, score, num_features: int, tables,
                       num_features, (model, tables, weights))
 
 
-def _pack_nodes(ensemble: Ensemble):
-    """Flatten every tree into shared parallel node tables, tree after tree,
-    each numbered breadth-first.
-
-    A node's two children are numbered together, so the right one is the
-    left one + 1 and only the left is stored.  Returns the arrays
-    ``(fids, values, left, roots)``: int32 ``fids[k]``, the feature id or
-    -1 for a leaf; float32 ``values[k]``, the threshold or leaf value;
-    int32 ``left[k]``, the left child's table index (0 for a leaf); int32
-    ``roots[t]``, the index of tree ``t``'s root.
-    """
-    # ``node.left is None`` below is ``node.is_leaf`` without the property
-    # call, which is a fifth of the time spent here.
-    fids, values, left, roots = [], [], [], []
-    for tree, _ in ensemble.trees:
-        roots.append(len(fids))
-        # A node's children are numbered when it enqueues them.
-        following = len(fids) + 1
-        pending = deque([tree.root])
-        while pending:
-            node = pending.popleft()
-            if node.left is None:
-                fids.append(-1)
-                values.append(node.value)
-                left.append(0)
-            else:
-                fids.append(node.fid)
-                values.append(node.threshold)
-                left.append(following)
-                following += 2
-                pending.extend((node.left, node.right))
-    return (np.array(fids, dtype=np.int32), np.array(values, dtype=np.float32),
-            np.array(left, dtype=np.int32), np.array(roots, dtype=np.int32))
-
-
 def _contiguous_entries(fids, values, left, roots):
     """Breadth-first node tables as one array of ``contiguous`` entries,
     and the byte offsets of the roots.
@@ -1007,7 +971,7 @@ def layout_kernel(ensemble: Ensemble, layout: str, v: int = 1):
     """
     if layout not in TABLE_DTYPES:
         raise ValueError(f"no table layout named {layout!r}")
-    fids, values, left, roots = _pack_nodes(ensemble)
+    fids, values, left, roots = ensemble.node_table
     entries, objects = fids.shape[0], 0
     lib = load_layout_kernels()
     if layout == "contiguous":

@@ -109,6 +109,27 @@ class TestUsageErrors:
         assert run(["bench", "--model", str(model_path), "--data",
                     str(data_path), "--trials", "1"]) == 1
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("gen-model", "--trees", "0"),
+        ("gen-model", "--depth", "-1"),
+        ("gen-model", "--features", "0"),
+        ("gen-model", "--seed", "-1"),
+        ("gen-data", "--count", "-1"),
+        ("gen-data", "--seed", "-1"),
+    ])
+    def test_gen_flag_out_of_range(self, tmp_path, model_path, capsys,
+                                   command, flag, value):
+        # An out-of-range flag is a usage error, not a data error, and
+        # nothing is written.
+        out = tmp_path / "out"
+        argv = {"gen-model": ["gen-model", "--depth", "2", "--features", "4",
+                              "--seed", "1"],
+                "gen-data": ["gen-data", "--model", str(model_path),
+                             "--count", "8", "--seed", "1"]}[command]
+        assert run(argv + [flag, value, "--out", str(out)]) == 1
+        assert f"{flag} must be >= " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
         assert run(["bench", "--help"]) == 0

@@ -20,6 +20,7 @@ from treescore import (
     predict_ensemble_traced,
     reference_batch,
     reference_predict,
+    serialize_model,
     traverse_to_leaf,
 )
 from treescore import Dataset, codegen, native
@@ -199,8 +200,7 @@ class TestPredicationKernel:
                  for depth in (1, 3, 6, 9)]
         trees += [random_unbalanced_tree(rng, 8, 8) for _ in range(4)]
         ens = Ensemble(8, trees)
-        nodes, roots = native._predicated_entries(
-            *native._pack_nodes(ens))
+        nodes, roots = native._predicated_entries(*ens.node_table)
         ends = np.append(roots[1:], nodes.shape[0])
         X = random_matrix(rng, 64, 8)
         rows = np.arange(X.shape[0])
@@ -272,9 +272,9 @@ class TestStorage:
 
 
 class TestNodeTables:
-    """The breadth-first node tables every in-process layout is packed
-    from: the linked layouts allocate their objects in table order, so the
-    order decides where they are placed."""
+    """``Ensemble.node_table``, the breadth-first node tables every
+    in-process layout is packed from: the linked layouts allocate their
+    objects in table order, so the order decides where they are placed."""
 
     # An unbalanced tree whose left subtree is the deeper one, a single
     # leaf, and a stump, each with its weight.
@@ -297,7 +297,7 @@ class TestNodeTables:
 
     def test_breadth_first(self):
         self.assert_tables(
-            native._pack_nodes(self.ENSEMBLE),
+            self.ENSEMBLE.node_table,
             fids=[0, 1, -1, -1, 2, -1, -1, -1, 3, -1, -1],
             values=[0.5, 0.25, 4.0, 1.0, 0.125, 2.0, 3.0, 5.0, 0.75, 6.0, 7.0],
             left=[1, 3, 0, 0, 5, 0, 0, 0, 9, 0, 0],
@@ -309,7 +309,7 @@ class TestNodeTables:
             ens = random_ensemble(rng, 8, int(rng.integers(1, 12)),
                                   int(rng.integers(0, 8)))
             count = sum(tree.node_count for tree, _ in ens.trees)
-            fids, _, left, roots = native._pack_nodes(ens)
+            fids, _, left, roots = ens.node_table
             assert fids.shape == (count,)
             internal = np.flatnonzero(fids >= 0)
             # Children come after their parent.
@@ -323,8 +323,7 @@ class TestNodeTables:
     def test_contiguous_entries(self):
         # The breadth-first tables as 16-byte entries; children and roots
         # by byte offset.
-        nodes, roots = native._contiguous_entries(
-            *native._pack_nodes(self.ENSEMBLE))
+        nodes, roots = native._contiguous_entries(*self.ENSEMBLE.node_table)
         assert nodes.dtype == native.CONTIGUOUS_ENTRY
         assert nodes.dtype.itemsize == 16
         assert nodes["fid"].tolist() == [0, 1, -1, -1, 2, -1, -1, -1, 3, -1, -1]
@@ -338,7 +337,7 @@ class TestNodeTables:
 
     def test_contiguous_table_limit(self, monkeypatch):
         # Offsets are uint32, so the table may span at most 4 GiB.
-        tables = native._pack_nodes(self.ENSEMBLE)
+        tables = self.ENSEMBLE.node_table
         monkeypatch.setattr(native, "CONTIGUOUS_TABLE_LIMIT", 11 * 16)
         native._contiguous_entries(*tables)
         monkeypatch.setattr(native, "CONTIGUOUS_TABLE_LIMIT", 11 * 16 - 1)
@@ -352,8 +351,7 @@ class TestNodeTables:
     def test_predicated_entries(self):
         # A split holds its left child's index, and a leaf fid 0, theta
         # NaN and its own index - 1.
-        nodes, roots = native._predicated_entries(
-            *native._pack_nodes(self.LEAF_FIRST))
+        nodes, roots = native._predicated_entries(*self.LEAF_FIRST.node_table)
         assert nodes.dtype == native.PREDICATED_ENTRY
         assert nodes.dtype.itemsize == 16
         assert nodes["fid"].tolist() == [0, 3, 0, 0, 0, 1, 0, 0, 2, 0, 0]
@@ -369,7 +367,7 @@ class TestNodeTables:
 
     def test_predicated_table_limit(self, monkeypatch):
         # Indices are int32, so the table may hold at most 2^31 entries.
-        tables = native._pack_nodes(self.LEAF_FIRST)
+        tables = self.LEAF_FIRST.node_table
         monkeypatch.setattr(native, "PREDICATED_TABLE_LIMIT", 11)
         native._predicated_entries(*tables)
         monkeypatch.setattr(native, "PREDICATED_TABLE_LIMIT", 10)
@@ -384,8 +382,7 @@ class TestNodeTables:
         for _ in range(10):
             ens = random_ensemble(rng, 8, int(rng.integers(1, 12)),
                                   int(rng.integers(0, 8)))
-            nodes, roots = native._predicated_entries(
-                *native._pack_nodes(ens))
+            nodes, roots = native._predicated_entries(*ens.node_table)
             pool = [n.threshold for t, _ in ens.trees for n in _nodes(t)
                     if not n.is_leaf] + [np.nan, np.inf, -np.inf]
             X = random_matrix(rng, 64, 8)
@@ -407,6 +404,26 @@ class TestNodeTables:
                                          < e["theta"])
                 want = [index[id(traverse_to_leaf(tree.root, x))] for x in X]
                 assert i.tolist() == want
+
+    @requires_compiler
+    def test_read_only_and_left_as_built(self):
+        # The ensemble numbers its nodes once; the layouts and
+        # serialize_model only read the table.
+        ens = random_ensemble(np.random.default_rng(42), 8, 6, 5)
+        table = ens.node_table
+        before = [a.copy() for a in table]
+        for array in table:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+        for kind, v in LINKED_LAYOUTS + ((StrategyKind.PREDICATED, None),
+                                         (StrategyKind.VPREDICATED, 4)):
+            build(ens, kind, v)
+        serialize_model(ens)
+        assert all(a is b for a, b in zip(ens.node_table, table))
+        for got, want in zip(table, before):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 LINKED_LAYOUTS = ((StrategyKind.HEAP_LINKED, None),

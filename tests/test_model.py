@@ -320,6 +320,43 @@ class TestFormat:
         assert first < second
         assert doc.index("tree 0.25") < doc.index("tree 0.75")
 
+    def test_unbalanced_tree_serializes_breadth_first(self):
+        # The root's children are ids 3 and 1, its left subtree is the
+        # deeper one, and no block is numbered breadth-first.  Serializing
+        # renumbers each tree breadth-first from 0, children in order.
+        doc = ("ensemble 4 2\n"
+               "tree 0.5\n"
+               "node 0 0 0.5 3 1\n"
+               "leaf 1 4.0\n"
+               "node 3 1 0.25 5 2\n"
+               "leaf 5 0.1\n"
+               "node 2 2 0.125 6 4\n"
+               "leaf 6 2.0\n"
+               "leaf 4 3.0\n"
+               "end\n"
+               "tree 2.0\n"
+               "node 0 3 0.75 2 1\n"
+               "leaf 1 7.0\n"
+               "leaf 2 6.0\n"
+               "end\n")
+        assert serialize_model(parse_model(doc)).splitlines() == [
+            "ensemble 4 2",
+            "tree 0.5",
+            "node 0 0 0.5 1 2",
+            "node 1 1 0.25 3 4",
+            "leaf 2 4.0",
+            "leaf 3 0.10000000149011612",
+            "node 4 2 0.125 5 6",
+            "leaf 5 2.0",
+            "leaf 6 3.0",
+            "end",
+            "tree 2.0",
+            "node 0 3 0.75 1 2",
+            "leaf 1 6.0",
+            "leaf 2 7.0",
+            "end",
+        ]
+
     def test_feature_id_out_of_range(self):
         doc = ("ensemble 4 1\n"
                "tree 1.0\n"
