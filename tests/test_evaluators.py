@@ -416,8 +416,7 @@ class TestNodeTables:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1
-        for kind, v in LINKED_LAYOUTS + ((StrategyKind.PREDICATED, None),
-                                         (StrategyKind.VPREDICATED, 4)):
+        for kind, v in TABLE_BUILDS:
             build(ens, kind, v)
         serialize_model(ens)
         assert all(a is b for a, b in zip(ens.node_table, table))
